@@ -16,8 +16,9 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .quadfield import (Discriminant, b_indicator, chi, chi_period, chi_table,
-                        factorize)
+from .quadfield import (Discriminant, IdentityError, b_indicator, chi,
+                        chi_period, chi_table, factorize, _ext_gcd,
+                        _primes_up_to)
 
 _SEGMENT = 1 << 20
 
@@ -45,15 +46,6 @@ def classify(fld: Discriminant, n: int) -> Classification:
     return Classification.MIXED
 
 
-def _primes_to(n: int) -> np.ndarray:
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return np.nonzero(sieve)[0]
-
-
 def norm_indicator_array(fld: Discriminant, limit: int) -> np.ndarray:
     """Boolean array ind[0..limit]: ind[n] iff n >= 1 is a norm value.
 
@@ -64,7 +56,7 @@ def norm_indicator_array(fld: Discriminant, limit: int) -> np.ndarray:
     """
     if limit < 1:
         raise ValueError("limit >= 1 required")
-    small = _primes_to(isqrt(limit))
+    small = _primes_up_to(isqrt(limit))
     per = chi_period(fld)
     table = chi_table(fld)
     ind = np.ones(limit + 1, dtype=bool)
@@ -121,7 +113,6 @@ class ProgressionSpec:
     sigma: int
     n0: int
     n1: int
-    swapped: bool
     negated: bool
 
     @property
@@ -145,13 +136,6 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
     g, p, _ = _ext_gcd(m1, m2)
     assert g == 1
     return (r1 + (r2 - r1) * p % m2 * m1) % (m1 * m2)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
 
 
 def build_progression(fld: Discriminant, h: int) -> ProgressionSpec:
@@ -193,7 +177,7 @@ def build_progression(fld: Discriminant, h: int) -> ProgressionSpec:
         sigma = 1
         n1 = 4 * q * q * abs(h)
         n0 = (4 * q) % n1
-    spec = ProgressionSpec(fld, h_orig, h, sigma, n0, n1, negated, negated)
+    spec = ProgressionSpec(fld, h_orig, h, sigma, n0, n1, negated)
     _check_progression(spec)
     return spec
 
@@ -211,28 +195,6 @@ def _check_progression(spec: ProgressionSpec, terms: int = 100) -> None:
         assert lhs == rhs, (spec, j)
 
 
-def _inert_primes_of_term(fld: Discriminant, spec: ProgressionSpec, j: int) -> list[int]:
-    """Inert primes of the reduced product at index j, with multiplicity."""
-    _, m1, m2 = spec.term(j)
-    out = []
-    for m in (m1, m2):
-        for p, e in factorize(m):
-            if chi(fld, p) == -1:
-                out.extend([p] * e)
-    return out
-
-
-def b_star_count(fld: Discriminant, spec: ProgressionSpec, y: float) -> int:
-    """Indices j <= y whose reduced product has all prime factors split."""
-    if y < 1:
-        return 0
-    count = 0
-    for j in range(1, int(math.floor(y)) + 1):
-        if not _inert_primes_of_term(fld, spec, j):
-            count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class SieveWindow:
     """The inert primes below z (support of the sifting product)."""
@@ -247,20 +209,9 @@ class SieveWindow:
 def sieve_window(fld: Discriminant, z: float) -> SieveWindow:
     if z <= 2:
         raise ValueError("z > 2 required")
-    ps = tuple(int(p) for p in _primes_to(int(math.ceil(z)))
+    ps = tuple(int(p) for p in _primes_up_to(int(math.ceil(z)))
                if p < z and chi(fld, int(p)) == -1)
     return SieveWindow(z, ps)
-
-
-def sifted_count(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> int:
-    """Indices j <= y whose reduced product has no inert prime below z."""
-    if z <= 2:
-        raise ValueError("z > 2 required")
-    count = 0
-    for j in range(1, int(math.floor(y)) + 1):
-        if all(p >= z for p in _inert_primes_of_term(fld, spec, j)):
-            count += 1
-    return count
 
 
 @dataclass(frozen=True)
@@ -276,28 +227,51 @@ class SiftedDecomposition:
         return self.sifted == self.all_split + self.two_large_inert + self.four_large_inert
 
 
-def sifted_decomposition(fld: Discriminant, spec: ProgressionSpec,
-                         y: float, s: float) -> SiftedDecomposition:
-    """Split the sifted count at z = y^(1/s) by the number of inert primes.
+def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> SiftedDecomposition:
+    """One pass over the terms j <= y, each factorized once.
 
     Inert primes enter each factor of the reduced product in pairs (both
-    factors have character value +1 along the progression), so surviving
-    terms carry 0, 2, 4, ... inert primes, all above z.
+    factors have character value +1 along the progression), so every term
+    carries 0, 2, 4, ... inert primes with multiplicity; an odd count
+    raises IdentityError.  all_split does not depend on z.
     """
-    z = y ** (1.0 / s)
     sifted = all_split = two = four = deeper = 0
     for j in range(1, int(math.floor(y)) + 1):
-        il = _inert_primes_of_term(fld, spec, j)
-        assert len(il) % 2 == 0, (spec, j)
-        if any(p < z for p in il):
+        _, m1, m2 = spec.term(j)
+        inert = [p for m in (m1, m2) for p, e in factorize(m)
+                 if chi(fld, p) == -1 for _ in range(e)]
+        if len(inert) % 2:
+            raise IdentityError(f"q={fld.q} h={spec.h_original} j={j}: "
+                                f"odd number of inert primes {inert}")
+        if any(p < z for p in inert):
             continue
         sifted += 1
-        if not il:
+        if not inert:
             all_split += 1
-        elif len(il) == 2:
+        elif len(inert) == 2:
             two += 1
-        elif len(il) == 4:
+        elif len(inert) == 4:
             four += 1
         else:
             deeper += 1
     return SiftedDecomposition(sifted, all_split, two, four, deeper)
+
+
+def b_star_count(fld: Discriminant, spec: ProgressionSpec, y: float) -> int:
+    """Indices j <= y whose reduced product has all prime factors split."""
+    if y < 1:
+        return 0
+    return _sift(fld, spec, y, math.inf).all_split
+
+
+def sifted_count(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> int:
+    """Indices j <= y whose reduced product has no inert prime below z."""
+    if z <= 2:
+        raise ValueError("z > 2 required")
+    return _sift(fld, spec, y, z).sifted
+
+
+def sifted_decomposition(fld: Discriminant, spec: ProgressionSpec,
+                         y: float, s: float) -> SiftedDecomposition:
+    """Split the sifted count at z = y^(1/s) by the number of inert primes."""
+    return _sift(fld, spec, y, y ** (1.0 / s))

@@ -1,13 +1,17 @@
 """Lattice points on a fixed hyperbolic circle around a Heegner point.
 
-Three cross-validating descriptions of the same finite set:
+Three descriptions of the same finite set:
 
+  * pairs of algebraic integers of norms (two_n +- q)/2 subject to the
+    congruence system (the library path; bijective with the matrices);
   * matrices gamma with arithmetic radius two_n (brute-force oracle over
     bottom rows, quadratic solve for the top row);
-  * pairs of algebraic integers of norms (two_n +- q)/2 subject to the
-    congruence system (fast path; bijective with the matrices);
   * integer points (h, Y) on q h^2 + Y^2 = two_n^2 - q^2 with
-    Y = two_n (mod q) (the point set; each point hit unit_count/2 times).
+    Y = two_n (mod q) (the point set, read off the pairs with each point
+    hit unit_count/2 times; the _solve_circle oracle solves it directly).
+
+verify and the tests compare the oracles against the pair path; the
+library's own calls never run them.
 """
 from __future__ import annotations
 
@@ -16,10 +20,10 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd, isqrt
 
 from .halfplane import (UnimodularMatrix, arithmetic_radius, congruence_holds,
-                        coords_from_split, integer_coords, matrix_from_split,
-                        _radius16)
-from .quadfield import (AlgebraicInt, Discriminant, b_indicator_from_factors,
-                        enumerate_norm, factorize, r_count)
+                        coords_from_split, matrix_from_split, _radius16)
+from .quadfield import (AlgebraicInt, Discriminant, IdentityError,
+                        b_indicator_from_factors, enumerate_norm, factorize,
+                        r_count, _ext_gcd)
 
 
 @dataclass(frozen=True)
@@ -153,48 +157,29 @@ def pairs_to_matrices(radius: Radius, pairs: list[SplitPair]) -> list[Unimodular
 
 
 def lattice_points(radius: Radius) -> list[CirclePoint]:
-    """The circle's integer points, computed twice and compared.
+    """The circle's integer points, read off the congruence-filtered pairs.
 
-    Path one pushes the matrix set through integer_coords and deduplicates
-    (each point appears unit_count/2 times).  Path two solves
-    q h^2 + Y^2 = two_n^2 - q^2 with Y = two_n (mod q) directly.  A
-    mismatch is a hard failure, as is a count different from
-    (c4/2) * r_count(n_plus * n_minus).
+    Each pair maps to (h, Y) through the product identity
+    y + ix = (u + r z)(t + s z-bar).  Every point must be hit exactly
+    unit_count/2 times, and the point count must equal
+    (c4/2) * r_count(n_plus * n_minus); either failure raises IdentityError.
     """
     fld = radius.field
     if radius.two_n <= fld.q:
         raise ValueError("two_n = q is the circle centre; no points")
-    pairs = enumerate_pairs(radius)
-    via_pairs: dict[tuple[int, int], int] = {}
-    for p in pairs:
-        hy = integer_coords(fld, matrix_from_split(fld, *p.rust))
-        assert hy == coords_from_split(fld, *p.rust)   # the product identity
-        via_pairs[hy] = via_pairs.get(hy, 0) + 1
-    direct = set(_solve_circle(fld, radius.two_n))
-    if set(via_pairs) != direct:
-        raise AssertionError(
-            f"q={fld.q} two_n={radius.two_n}: matrix image and direct point set differ")
+    hits: dict[tuple[int, int], int] = {}
+    for p in enumerate_pairs(radius):
+        hy = coords_from_split(fld, *p.rust)
+        hits[hy] = hits.get(hy, 0) + 1
     mult = fld.unit_count // 2
-    assert all(c == mult for c in via_pairs.values()), (fld.q, radius.two_n)
+    if any(c != mult for c in hits.values()):
+        raise IdentityError(f"q={fld.q} two_n={radius.two_n}: a point is not hit "
+                            f"{mult} times by the pairs")
     expected2 = radius.c4 * r_count(fld, radius.norm_product)
-    assert expected2 % 2 == 0 and len(direct) == expected2 // 2, \
-        (fld.q, radius.two_n, len(direct), expected2 / 2)
-    return [CirclePoint(h, Y, fld, radius.two_n) for (h, Y) in sorted(direct)]
-
-
-def _solve_circle(fld: Discriminant, two_n: int) -> list[tuple[int, int]]:
-    q = fld.q
-    rhs = two_n * two_n - q * q
-    out = []
-    for h in range(-isqrt(rhs // q), isqrt(rhs // q) + 1):
-        d = rhs - q * h * h
-        w = isqrt(d)
-        if w * w != d:
-            continue
-        for Y in ((w,) if w == 0 else (w, -w)):
-            if (Y - two_n) % q == 0:
-                out.append((h, Y))
-    return out
+    if 2 * len(hits) != expected2:
+        raise IdentityError(f"q={fld.q} two_n={radius.two_n}: {len(hits)} points, "
+                            f"(c4/2) r(n_plus n_minus) = {expected2 / 2}")
+    return [CirclePoint(h, Y, fld, radius.two_n) for (h, Y) in sorted(hits)]
 
 
 def angles(radius: Radius) -> list[float]:
@@ -208,7 +193,23 @@ def weyl_angles(radius: Radius) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle
+# Oracles: the direct point solve and the brute-force matrix walk
+
+def _solve_circle(fld: Discriminant, two_n: int) -> list[tuple[int, int]]:
+    """Points (h, Y) of the circle by direct solve, O(two_n / sqrt(q))."""
+    q = fld.q
+    rhs = two_n * two_n - q * q
+    out = []
+    for h in range(-isqrt(rhs // q), isqrt(rhs // q) + 1):
+        d = rhs - q * h * h
+        w = isqrt(d)
+        if w * w != d:
+            continue
+        for Y in ((w,) if w == 0 else (w, -w)):
+            if (Y - two_n) % q == 0:
+                out.append((h, Y))
+    return out
+
 
 def _row_families(fld: Discriminant, max_two_n: int):
     """Yield (a0, b0, c, d) for every bottom row that can reach radius <= max_two_n.
@@ -237,13 +238,6 @@ def _row_families(fld: Discriminant, max_two_n: int):
             g, a0, b0 = _ext_gcd(d, -c)
             assert a0 * d - b0 * c == 1
             yield (a0, b0, c, d)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
 
 
 def _row_quadratic(fld: Discriminant, a0: int, b0: int, c: int, d: int) -> tuple[int, int, int]:

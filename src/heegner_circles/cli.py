@@ -10,10 +10,8 @@ import argparse
 import io
 import json
 import math
-import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import bnumbers, circles, equidist, halfplane, quadfield
 from .circles import Radius
@@ -24,12 +22,6 @@ SCHEMA_VERSION = "1"
 
 PALETTE = ("#e858a2", "#a8653a", "#3c6fd1", "#3ba05d", "#8458c9",
            "#d98032", "#4fa3b8", "#b8485d", "#7a7a32")
-
-
-@dataclass(frozen=True)
-class CommandResult:
-    exit_code: int
-    rows_emitted: int
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +137,8 @@ def _verify_field(fld: Discriminant, max_two_n: int, report: list[str]) -> str |
         mats2 = circles.pairs_to_matrices(radius, pairs)
         if mats2 != oracle.get(radius.two_n, []):
             return f"oracle-equivalence q={q} two_n={radius.two_n}"
-        try:
-            pts = circles.lattice_points(radius)
-        except AssertionError:
+        pts = circles.lattice_points(radius)
+        if [(p.h, p.Y) for p in pts] != sorted(circles._solve_circle(fld, radius.two_n)):
             return f"point-set-equality q={q} two_n={radius.two_n}"
         if len(pts) != quadfield.r_star(fld, radius.norm_product):
             return f"point-count-vs-restricted q={q} two_n={radius.two_n}"
@@ -155,7 +146,7 @@ def _verify_field(fld: Discriminant, max_two_n: int, report: list[str]) -> str |
 
     for M in range(1, min(max_two_n * 4, 4000)):
         if quadfield.b_indicator(fld, M):
-            quadfield.r_star(fld, M)   # self-asserts the closed form
+            quadfield.r_star(fld, M)   # raises IdentityError off the closed form
     report.append(f"q={q}: restricted count closed form ok")
 
     norms = [M for M in range(1, 200) if quadfield.b_indicator(fld, M)]
@@ -191,27 +182,36 @@ def _verify_field(fld: Discriminant, max_two_n: int, report: list[str]) -> str |
     return None
 
 
-def cmd_verify(args) -> CommandResult:
+def cmd_verify(args) -> int:
     if args.max_two_n > 10 ** 4:
         print("verify: --max-two-n capped at 10^4", file=sys.stderr)
-        return CommandResult(2, 0)
+        return 2
     report: list[str] = []
     for fld in _selected_fields(args.q):
-        fail = _verify_field(fld, args.max_two_n, report)
+        try:
+            fail = _verify_field(fld, args.max_two_n, report)
+        except quadfield.IdentityError as exc:
+            fail = f"identity q={fld.q}: {exc}"
         if fail is not None:
             text = "\n".join(report + [f"FAIL {fail}"]) + "\n"
             _emit(text, args.out)
-            return CommandResult(1, len(report))
+            return 1
     text = "\n".join(report + ["all identities verified"]) + "\n"
     _emit(text, args.out)
-    return CommandResult(0, len(report))
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # circle: dump one circle
 
-def cmd_circle(args) -> CommandResult:
+def cmd_circle(args) -> int:
     fld = field(int(args.q))
+    if max(args.two_n, default=0) > 10 ** 9:
+        print("circle: --two-n capped at 10^9", file=sys.stderr)
+        return 2
+    if args.k is not None and args.k > 10 ** 4:
+        print("circle: --k capped at 10^4", file=sys.stderr)
+        return 2
     notes = []
     rows = []
     bounds = []
@@ -219,7 +219,7 @@ def cmd_circle(args) -> CommandResult:
         if (two_n - fld.q) % 2:
             print(f"circle: two_n={two_n} has wrong parity for q={fld.q}",
                   file=sys.stderr)
-            return CommandResult(2, 0)
+            return 2
         if two_n <= fld.q:
             notes.append(f"two_n={two_n} at or below the centre: empty circle")
             continue
@@ -261,18 +261,18 @@ def cmd_circle(args) -> CommandResult:
             text += (f"# discrepancy two_n={bd['two_n']} K={bd['K']}: "
                      f"{_cell(bd['discrepancy'])} <= et {_cell(bd['et_bound'])}\n")
         _emit(text, args.out)
-    return CommandResult(0, len(rows))
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # survey
 
-def cmd_survey(args) -> CommandResult:
+def cmd_survey(args) -> int:
     if args.x > 10 ** 7:
         print("survey: --x capped at 10^7", file=sys.stderr)
-        return CommandResult(2, 0)
+        return 2
     fld = field(int(args.q))
-    rows, summary = equidist.survey(fld, args.x, threads=args.threads)
+    rows, summary = equidist.survey(fld, args.x)
     header = ["two_n", "omega", "Omega", "in_B_flat", "log2_r_star",
               "point_count", "gamma_count", "discrepancy"]
     table = [[r.two_n, r.omega, r.Omega, r.in_B_flat, r.log2_r_star,
@@ -293,16 +293,16 @@ def cmd_survey(args) -> CommandResult:
         text = _csv("survey", header, table)
         text += "".join(f"# {k}: {_cell(v)}\n" for k, v in meta.items())
         _emit(text, args.out)
-    return CommandResult(0, len(table))
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # count: hyperbolic circle problem
 
-def cmd_count(args) -> CommandResult:
+def cmd_count(args) -> int:
     if args.x > 10 ** 6:
         print("count: --x capped at 10^6", file=sys.stderr)
-        return CommandResult(2, 0)
+        return 2
     fld = field(int(args.q))
     res = equidist.circle_problem_sum(fld, args.x)
     header = ["x", "sum", "convolution_part", "centre_term", "direct_count", "six_x"]
@@ -313,16 +313,16 @@ def cmd_count(args) -> CommandResult:
         _emit(_json_doc("count", fld.q, [dict(zip(header, row))]), args.out)
     else:
         _emit(_csv("count", header, [row]), args.out)
-    return CommandResult(0, 1)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # bnumbers: shifted-pair curve
 
-def cmd_bnumbers(args) -> CommandResult:
+def cmd_bnumbers(args) -> int:
     if args.x > 10 ** 7:
         print("bnumbers: --x capped at 10^7", file=sys.stderr)
-        return CommandResult(2, 0)
+        return 2
     fld = field(int(args.q))
     if args.s is not None or args.z is not None:
         return _bnumbers_sieve_table(args, fld)
@@ -342,10 +342,10 @@ def cmd_bnumbers(args) -> CommandResult:
         _emit(_json_doc("bnumbers", fld.q, [dict(zip(header, r)) for r in rows]), args.out)
     else:
         _emit(_csv("bnumbers", header, rows), args.out)
-    return CommandResult(0, len(rows))
+    return 0
 
 
-def _bnumbers_sieve_table(args, fld: Discriminant) -> CommandResult:
+def _bnumbers_sieve_table(args, fld: Discriminant) -> int:
     """Progression sieve view: --x is the index bound y; --s (or --z) sets
     the sifting cut z = y^(1/s) (or z directly)."""
     spec = bnumbers.build_progression(fld, args.h)
@@ -354,13 +354,13 @@ def _bnumbers_sieve_table(args, fld: Discriminant) -> CommandResult:
         z = args.z
         if z <= 2:
             print("bnumbers: --z must exceed 2", file=sys.stderr)
-            return CommandResult(2, 0)
-        sifted = bnumbers.sifted_count(fld, spec, y, z)
-        row = [y, z, sifted, bnumbers.b_star_count(fld, spec, y), "", ""]
+            return 2
+        dec = bnumbers._sift(fld, spec, y, z)
+        row = [y, z, dec.sifted, dec.all_split, "", ""]
     else:
         if args.s <= 1:
             print("bnumbers: --s must exceed 1", file=sys.stderr)
-            return CommandResult(2, 0)
+            return 2
         dec = bnumbers.sifted_decomposition(fld, spec, y, args.s)
         z = y ** (1.0 / args.s)
         row = [y, z, dec.sifted, dec.all_split,
@@ -374,7 +374,7 @@ def _bnumbers_sieve_table(args, fld: Discriminant) -> CommandResult:
         text = _csv("bnumbers-sieve", header, [row])
         text += "".join(f"# {k}: {v}\n" for k, v in meta.items())
         _emit(text, args.out)
-    return CommandResult(0, 1)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +389,17 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def cmd_plot(args) -> CommandResult:
+def cmd_plot(args) -> int:
     fld = field(int(args.q))
     q = fld.q
+    if max(args.two_n, default=0) > 10 ** 9:
+        print("plot: --two-n capped at 10^9", file=sys.stderr)
+        return 2
     radii = []
     for tn in args.two_n:
         if (tn - q) % 2 or tn <= q:
             print(f"plot: invalid two_n={tn} for q={q}", file=sys.stderr)
-            return CommandResult(2, 0)
+            return 2
         radii.append(Radius(fld, tn))
     # half-plane pane: 1000x500, x in [-5,5], y in [0,5], 100 px per unit
     HW, HH, SC = 1000, 500, 100.0
@@ -451,7 +454,7 @@ def cmd_plot(args) -> CommandResult:
                          f'fill="{color}" class="disc-point"/>\n')
     parts.append("</svg>\n")
     _emit("".join(parts), args.out)
-    return CommandResult(0, sum(1 for p in parts if "disc-point" in p))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", choices=qchoices, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="radius-parallel workers; output independent of it")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_survey)
 
@@ -520,11 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result: CommandResult = args.fn(args)
+        return args.fn(args)
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-    return result.exit_code
+    except quadfield.IdentityError as exc:
+        print(f"{args.command}: identity failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

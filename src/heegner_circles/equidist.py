@@ -6,12 +6,11 @@ hyperbolic circle count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .circles import Radius, _row_families, _row_quadratic, stabilizer_size
-from .quadfield import (Discriminant, b_indicator_from_factors, factorize,
+from .quadfield import (Discriminant, b_indicator_from_factors, chi, factorize,
                         r_count, r_count_from_factors, restricted_elements,
                         v_k, weyl_profile)
 
@@ -22,18 +21,17 @@ RATE_EXPONENT = math.log(math.pi / 2) / math.log(2)
 def circle_discrepancy(angles_sorted: list[float]) -> float:
     """Supremum over circular arcs of |empirical mass - arc length / 2pi|.
 
-    The sup is attained by arcs with endpoints at data angles, taken
-    closed (point-heavy side) or open (length-heavy side).  The O(N^2)
-    scan over endpoint pairs realizes that directly; for N > 512 an
-    equivalent O(N) form on the sorted sequence is used.  Both paths are
-    property-tested equal.
+    Exact O(N) form on the sorted normalized points x_0 <= ... <= x_{N-1}:
+    max(i/N - x_i) - min(i/N - x_i) + 1/N (Kuipers & Niederreiter,
+    Uniform Distribution of Sequences, 1974, ch. 2).  _discrepancy_pairs,
+    the O(N^2) scan over arc endpoints, is its reference in the tests.
     """
     n = len(angles_sorted)
     if n == 0:
         raise ValueError("discrepancy of an empty angle set")
-    if n > 512:
-        return _discrepancy_fast(angles_sorted)
-    return _discrepancy_pairs(angles_sorted)
+    ph = _normalized(angles_sorted)
+    us = [m / n - ph[m] for m in range(n)]
+    return max(us) - min(us) + 1.0 / n
 
 
 def _normalized(angles_seq: list[float]) -> list[float]:
@@ -41,6 +39,8 @@ def _normalized(angles_seq: list[float]) -> list[float]:
 
 
 def _discrepancy_pairs(angles_seq: list[float]) -> float:
+    """The sup over arcs with endpoints at data angles, taken closed
+    (point-heavy side) or open (length-heavy side); O(N^2), test oracle."""
     ph_all = _normalized(angles_seq)
     n = len(ph_all)
     # compress ties (repeated angles from the unit action) into multiplicities
@@ -74,13 +74,6 @@ def _discrepancy_pairs(angles_seq: list[float]) -> float:
             else:
                 best = max(best, ln - inner / n)
     return best
-
-
-def _discrepancy_fast(angles_seq: list[float]) -> float:
-    ph = _normalized(angles_seq)
-    n = len(ph)
-    us = [m / n - ph[m] for m in range(n)]
-    return max(us) - min(us) + 1.0 / n
 
 
 def default_harmonic_cutoff(two_n: int) -> int:
@@ -171,8 +164,8 @@ def _survey_row(fld: Discriminant, two_n: int) -> SurveyRow | None:
         merged[p] = merged.get(p, 0) + e
     factors = sorted(merged.items())
     M = n_plus * n_minus
-    om = sum(1 for p, _ in factors if _chi_split(fld, p))
-    Om = sum(e for p, e in factors if _chi_split(fld, p))
+    om = sum(1 for p, _ in factors if chi(fld, p) == 1)
+    Om = sum(e for p, e in factors if chi(fld, p) == 1)
     els = restricted_elements(fld, M, factors)
     angs = sorted(a.angle() % (2 * math.pi) for a in els)
     d = circle_discrepancy(angs)
@@ -186,11 +179,6 @@ def _survey_row(fld: Discriminant, two_n: int) -> SurveyRow | None:
                      len(els), g4 // 4, d)
 
 
-def _chi_split(fld: Discriminant, p: int) -> bool:
-    from .quadfield import chi
-    return chi(fld, p) == 1
-
-
 def _quantiles(vals: list[float]) -> tuple[float, float, float]:
     s = sorted(vals)
     n = len(s)
@@ -199,15 +187,15 @@ def _quantiles(vals: list[float]) -> tuple[float, float, float]:
 
 def survey(fld: Discriminant, X: float, threads: int | None = None
            ) -> tuple[list[SurveyRow], SurveySummary]:
-    """Per-radius rows over all radii n <= X, with distribution aggregates."""
+    """Per-radius rows over all radii n <= X, with distribution aggregates.
+
+    The survey runs serially; threads is ignored and kept only so that
+    existing callers keep working.
+    """
     if X < fld.q / 2:
         raise ValueError("X below the minimal radius")
-    cands = range(fld.q + 2, int(2 * X) + 1, 2)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = [r for r in ex.map(lambda t: _survey_row(fld, t), cands) if r is not None]
-    else:
-        rows = [r for t in cands if (r := _survey_row(fld, t)) is not None]
+    rows = [r for t in range(fld.q + 2, int(2 * X) + 1, 2)
+            if (r := _survey_row(fld, t)) is not None]
     count = len(rows)
     llx = math.log(math.log(X)) if X > math.e else float("nan")
     degenerate = count < 8 or not (llx > 0)

@@ -24,6 +24,13 @@ import numpy as np
 CLASS_NUMBER_ONE_Q = (3, 4, 7, 8, 11, 19, 43, 67, 163)
 
 
+class IdentityError(ArithmeticError):
+    """An exact identity the package checks at run time does not hold.
+
+    Raised instead of asserting, so the check still runs under python -O.
+    """
+
+
 @dataclass(frozen=True)
 class Discriminant:
     """One of the nine fields: q > 0 with field discriminant -q."""
@@ -192,6 +199,14 @@ def _primes_up_to(n: int) -> np.ndarray:
         if sieve[p]:
             sieve[p * p::p] = False
     return np.nonzero(sieve)[0].astype(np.int64)
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    if b == 0:
+        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
+    g, x, y = _ext_gcd(b, a % b)
+    return g, y, x - (a // b) * y
 
 
 def prime_table() -> np.ndarray:
@@ -509,7 +524,9 @@ def r_star(fld: Discriminant, M: int) -> int:
     direct = len(restricted_elements(fld, M))
     rc = r_count(fld, M)
     closed = rc if gcd(M, fld.q) > 1 else rc // 2
-    assert direct == closed, (fld.q, M, direct, closed)
+    if direct != closed:
+        raise IdentityError(f"r_star q={fld.q} M={M}: {direct} restricted elements, "
+                            f"closed form {closed}")
     if len(_r_star_cache) < _R_COUNT_CACHE_MAX:
         _r_star_cache[key] = direct
     return direct

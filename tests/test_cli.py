@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from importlib import resources
@@ -5,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from heegner_circles import circles, cli
+from heegner_circles import circles, cli, quadfield
 from heegner_circles.cli import build_parser, main
 
 SCHEMAS = json.loads(
@@ -54,6 +55,14 @@ class TestVerify:
         code, out = run(capsys, "verify", "--q", "3", "--max-two-n", "60")
         assert code == 1
         assert "FAIL pair-count-formula" in out
+
+    def test_identity_error_becomes_fail_line(self, capsys, monkeypatch):
+        # an off-by-one point count raises IdentityError inside lattice_points
+        monkeypatch.setattr(circles, "r_count",
+                            lambda fld, M: quadfield.r_count(fld, M) + 1)
+        code, out = run(capsys, "verify", "--q", "3", "--max-two-n", "60")
+        assert code == 1
+        assert "\nFAIL identity q=3: " in out
 
 
 class TestCircle:
@@ -115,6 +124,16 @@ class TestCircle:
         code, _ = run(capsys, "circle", "--q", "3", "--two-n", "6")
         assert code == 2
 
+    def test_identity_error_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(circles, "r_count",
+                            lambda fld, M: quadfield.r_count(fld, M) + 1)
+        assert run(capsys, "circle", "--q", "11", "--two-n", "29")[0] == 1
+
+    def test_input_caps(self, capsys):
+        assert run(capsys, "circle", "--q", "3", "--two-n", str(10 ** 9 + 2))[0] == 2
+        assert run(capsys, "circle", "--q", "3", "--two-n", "5",
+                   "--k", str(10 ** 4 + 1))[0] == 2
+
     def test_unrealized_radius_zero_rows(self, capsys):
         # q=3, two_n=7: n_plus=5 has chi(5) = -1 to odd order
         code, out = run(capsys, "circle", "--q", "3", "--two-n", "7")
@@ -128,11 +147,6 @@ class TestSurveyCounts:
         assert code == 0
         assert out.startswith("# schema: survey v1\n")
         assert "# count:" in out
-
-    def test_survey_threads_identical(self, capsys):
-        _, out1 = run(capsys, "survey", "--q", "7", "--x", "80", "--threads", "1")
-        _, out2 = run(capsys, "survey", "--q", "7", "--x", "80", "--threads", "3")
-        assert out1 == out2
 
     def test_count_exact(self, capsys):
         code, out = run(capsys, "count", "--q", "3", "--x", "100")
@@ -179,6 +193,10 @@ class TestPlot:
         code, _ = run(capsys, "plot", "--q", "11", "--two-n", "3")
         assert code == 2
 
+    def test_radius_cap(self, capsys):
+        code, _ = run(capsys, "plot", "--q", "11", "--two-n", f"29,{10 ** 9 + 1}")
+        assert code == 2
+
     def test_colors_fixed_palette(self, capsys, tmp_path):
         out_path = tmp_path / "c.svg"
         main(["plot", "--q", "11", "--two-n", "29,61", "--out", str(out_path)])
@@ -197,3 +215,27 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([])
         assert exc.value.code == 2
+
+
+# sha256 of stdout, recorded while the library still ran the direct point
+# solve and the O(N^2) discrepancy scan; the printed bytes must not drift
+GOLDEN_STDOUT = [
+    (["survey", "--q", "7", "--x", "80"],
+     "ba46ec4688ccb044d13bfd085db875d81b16a02cec7eceb2cf038c44758d5dc8"),
+    (["circle", "--q", "11", "--two-n", "29,61", "--k", "4"],
+     "06d2f1dc2e885f0d99a73d4d1bea93df82d015679cabd77ed105bbb728e68801"),
+    (["count", "--q", "3", "--x", "100"],
+     "41d0d3d2fbd4b8748fddf5226fe123cd6bf3b2c1df699931d26a09ee29e82851"),
+    (["bnumbers", "--q", "7", "--x", "300", "--h", "3", "--z", "50"],
+     "e89f3bce835518fac0afb0392aff93f24c2cb6f11bdf46a0f8a0043546454477"),
+    (["bnumbers", "--q", "7", "--x", "300", "--h", "3", "--s", "2.5"],
+     "b5a8971269d620f7a07963c58fb5d576d3a35bfd6afdf81abd3b497474459527"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
+                         ids=["survey", "circle", "count", "bnumbers-z", "bnumbers-s"])
+def test_golden_stdout(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

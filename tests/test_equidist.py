@@ -13,8 +13,9 @@ from heegner_circles.equidist import (RATE_EXPONENT, circle_discrepancy,
                                       matrix_angle_discrepancy,
                                       sharp_factorization_check,
                                       sharp_power_hits, survey,
-                                      _discrepancy_fast, _discrepancy_pairs)
-from heegner_circles.quadfield import all_fields, field, v_k
+                                      _discrepancy_pairs)
+from heegner_circles.quadfield import (all_fields, field, restricted_elements,
+                                       v_k)
 
 
 class TestDiscrepancy:
@@ -41,7 +42,7 @@ class TestDiscrepancy:
         # duplicate a prefix to exercise tied angles
         angs = angs + angs[:dups]
         d1 = _discrepancy_pairs(angs)
-        d2 = _discrepancy_fast(angs)
+        d2 = circle_discrepancy(angs)
         assert abs(d1 - d2) < 1e-12
         assert 0 <= d1 <= 1 + 1e-12
 
@@ -49,6 +50,19 @@ class TestDiscrepancy:
         n = 1000
         angs = [2 * math.pi * i / n for i in range(n)]
         assert abs(circle_discrepancy(angs) - 1.0 / n) < 1e-12
+
+    def test_matches_pairs_oracle_on_realized_radii(self):
+        # the angle sets the survey feeds in: restricted elements of norm
+        # n_plus * n_minus, every realized radius up to two_n = 3000
+        checked = 0
+        for f in all_fields():
+            for radius in radii_within(f, 1500):
+                angs = sorted(a.angle() % (2 * math.pi)
+                              for a in restricted_elements(f, radius.norm_product))
+                assert abs(circle_discrepancy(angs) - _discrepancy_pairs(angs)) < 1e-12, \
+                    (f.q, radius.two_n)
+                checked += 1
+        assert checked > 1000
 
 
 class TestEtBound:
@@ -174,12 +188,6 @@ class TestSurvey:
         rows, _ = survey(field(4), 60)
         for r in rows:
             assert r.in_B_flat == ((r.two_n // 2) % 2 == 1)
-
-    def test_thread_count_does_not_change_output(self):
-        f = field(7)
-        rows1, s1 = survey(f, 120, threads=1)
-        rows2, s2 = survey(f, 120, threads=4)
-        assert rows1 == rows2 and s1 == s2
 
     @pytest.mark.parametrize("q", [f.q for f in all_fields()])
     def test_rows_match_point_path(self, q):

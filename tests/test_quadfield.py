@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heegner_circles import quadfield
 from heegner_circles.quadfield import (CLASS_NUMBER_ONE_Q, AlgebraicInt,
-                                       all_fields, b_indicator, chi,
-                                       elements_of_norm, enumerate_norm,
+                                       IdentityError, all_fields, b_indicator,
+                                       chi, elements_of_norm, enumerate_norm,
                                        factorize, field, is_probable_prime,
                                        kronecker, omega_pair, r_count,
                                        r_star, residue_m, restricted_elements,
@@ -281,7 +282,7 @@ class TestRStar:
         assert r_star(field(q), M) == expect
 
     def test_closed_form_vs_direct(self):
-        # r_star itself asserts closed-form agreement; drive it over a range
+        # r_star itself checks closed-form agreement; drive it over a range
         for f in all_fields():
             for M in range(1, 3000):
                 if b_indicator(f, M):
@@ -301,6 +302,13 @@ class TestRStar:
                 assert len(direct) == r_star(f, M), (f.q, M)
                 assert sorted((a.r, a.u) for a in direct) == \
                     sorted((a.r, a.u) for a in restricted_elements(f, M))
+
+    def test_closed_form_mismatch_raises(self, monkeypatch):
+        # an IdentityError, not an assert, so the check survives python -O
+        monkeypatch.setattr(quadfield, "_r_star_cache", {})
+        monkeypatch.setattr(quadfield, "r_count", lambda fld, M: r_count(fld, M) + 1)
+        with pytest.raises(IdentityError):
+            r_star(field(3), 21)   # gcd branch: closed form is r_count itself
 
 
 class TestWeylSums:
