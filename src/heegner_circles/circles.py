@@ -19,11 +19,14 @@ import math
 from dataclasses import dataclass, field as dc_field
 from math import gcd, isqrt
 
+import numpy as np
+
+from .bnumbers import norm_indicator_array
 from .halfplane import (UnimodularMatrix, arithmetic_radius, congruence_holds,
                         coords_from_split, matrix_from_split, _radius16)
 from .quadfield import (AlgebraicInt, Discriminant, IdentityError,
-                        b_indicator_from_factors, enumerate_norm, factorize,
-                        r_count, _ext_gcd)
+                        elements_of_norm, r_count, _ext_gcd)
+from .quadfield import factorize  # unused; bench/test_bench.py asserts it is bound here
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,10 @@ class CirclePoint:
 
     def __post_init__(self) -> None:
         q = self.field.q
-        assert q * self.h * self.h + self.Y * self.Y == self.two_n ** 2 - q * q
-        assert (self.Y - self.two_n) % q == 0
+        if (q * self.h * self.h + self.Y * self.Y != self.two_n ** 2 - q * q
+                or (self.Y - self.two_n) % q):
+            raise IdentityError(f"q={q} two_n={self.two_n}: ({self.h}, {self.Y}) is off "
+                                "the circle or breaks Y = two_n (mod q)")
 
     def xy(self) -> tuple[float, float]:
         return (self.h * math.sqrt(self.field.q) / 2.0, self.Y / 2.0)
@@ -108,19 +113,19 @@ def _canonical_rust(v: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
 def radii_up_to(fld: Discriminant, x: float) -> list[Radius]:
     """All radii with 2R <= 2x whose circle is nonempty, ascending.
 
-    A candidate two_n > q of the right parity carries points iff
-    n_plus * n_minus is a norm, which splits over the factors.
+    A candidate two_n = 2m + q carries points iff n_minus = m and
+    n_plus = m + q are both norms; one norm-indicator sieve up to the
+    largest n_plus answers that for every candidate at once.
     """
-    if x < fld.q / 2:
+    q = fld.q
+    if x < q / 2:
         raise ValueError("x below the minimal radius q/2")
-    out = []
-    lim = int(2 * x)
-    for two_n in range(fld.q + 2, lim + 1, 2):
-        n_plus, n_minus = (two_n + fld.q) // 2, (two_n - fld.q) // 2
-        if b_indicator_from_factors(fld, factorize(n_plus)) and \
-           b_indicator_from_factors(fld, factorize(n_minus)):
-            out.append(Radius(fld, two_n))
-    return out
+    top = (int(2 * x) - q) // 2   # the largest n_minus
+    if top < 1:
+        return []
+    ind = norm_indicator_array(fld, top + q)
+    ms = np.flatnonzero(ind[1:top + 1] & ind[1 + q:top + q + 1]) + 1
+    return [Radius(fld, 2 * m + q) for m in ms.tolist()]
 
 
 def enumerate_pairs(radius: Radius) -> list[SplitPair]:
@@ -128,15 +133,18 @@ def enumerate_pairs(radius: Radius) -> list[SplitPair]:
     if radius.two_n <= radius.field.q:
         raise ValueError("two_n = q is the circle centre; no pairs")
     fld = radius.field
+    seconds = elements_of_norm(fld, radius.n_minus)
     seen = set()
-    for a1 in enumerate_norm(fld, radius.n_plus):
-        for a2 in enumerate_norm(fld, radius.n_minus):
+    for a1 in elements_of_norm(fld, radius.n_plus):
+        for a2 in seconds:
             if congruence_holds(fld, a1.r, a1.u, a2.r, a2.u):
                 seen.add(_canonical_rust((a1.r, a1.u, a2.r, a2.u)))
     out = [SplitPair(AlgebraicInt(u, r, fld), AlgebraicInt(t, s, fld))
            for (r, u, s, t) in sorted(seen)]
     for p in out:
-        assert p.first.norm() == radius.n_plus and p.second.norm() == radius.n_minus
+        if p.first.norm() != radius.n_plus or p.second.norm() != radius.n_minus:
+            raise IdentityError(f"q={fld.q} two_n={radius.two_n}: pair {p.rust} "
+                                "has the wrong norms")
     return out
 
 
@@ -150,9 +158,14 @@ def pairs_to_matrices(radius: Radius, pairs: list[SplitPair]) -> list[Unimodular
     out = []
     for p in pairs:
         g = matrix_from_split(fld, *p.rust)
-        assert arithmetic_radius(fld, g) == radius.two_n
+        two_n = arithmetic_radius(fld, g)
+        if two_n != radius.two_n:
+            raise IdentityError(f"q={fld.q} two_n={radius.two_n}: pair {p.rust} "
+                                f"maps to radius {two_n}")
         out.append(g)
-    assert len(set(out)) == len(out)
+    if len(set(out)) != len(out):
+        raise IdentityError(f"q={fld.q} two_n={radius.two_n}: two pairs map "
+                            "to the same matrix")
     return sorted(out)
 
 

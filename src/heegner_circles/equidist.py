@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
-from .circles import Radius, _row_families, _row_quadratic, stabilizer_size
-from .quadfield import (Discriminant, b_indicator_from_factors, chi, factorize,
-                        r_count, r_count_from_factors, restricted_elements,
-                        v_k, weyl_profile)
+from .circles import Radius, brute_force_by_radius, radii_up_to, stabilizer_size
+from .quadfield import (Discriminant, IdentityError, chi, factorize, r_count,
+                        r_count_from_factors, restricted_elements, v_k,
+                        weyl_profile)
 
 #: Exponent from the equidistribution rate: log(pi/2)/log 2.
 RATE_EXPONENT = math.log(math.pi / 2) / math.log(2)
@@ -103,8 +103,10 @@ class DiscrepancyReport:
     gamma_count: int
 
     def __post_init__(self) -> None:
-        assert 0.0 <= self.discrepancy <= 1.0
-        assert self.discrepancy <= self.et_bound + 1e-12
+        d = self.discrepancy
+        if not (0.0 <= d <= 1.0 and d <= self.et_bound + 1e-12):
+            raise IdentityError(f"two_n={self.two_n}: discrepancy {d} outside "
+                                f"[0, min(1, Erdos-Turan bound {self.et_bound})]")
 
 
 def gamma_count(radius: Radius) -> int:
@@ -153,24 +155,20 @@ class SurveySummary:
     degenerate: bool         # too few rows for the quantiles to mean much
 
 
-def _survey_row(fld: Discriminant, two_n: int) -> SurveyRow | None:
-    q = fld.q
-    n_plus, n_minus = (two_n + q) // 2, (two_n - q) // 2
-    f1, f2 = factorize(n_plus), factorize(n_minus)
-    if not (b_indicator_from_factors(fld, f1) and b_indicator_from_factors(fld, f2)):
-        return None
+def _survey_row(radius: Radius) -> SurveyRow:
+    fld, two_n, q = radius.field, radius.two_n, radius.field.q
+    f1, f2 = factorize(radius.n_plus), factorize(radius.n_minus)
     merged: dict[int, int] = {}
     for p, e in f1 + f2:
         merged[p] = merged.get(p, 0) + e
     factors = sorted(merged.items())
-    M = n_plus * n_minus
+    M = radius.norm_product
     om = sum(1 for p, _ in factors if chi(fld, p) == 1)
     Om = sum(e for p, e in factors if chi(fld, p) == 1)
     els = restricted_elements(fld, M, factors)
     angs = sorted(a.angle() % (2 * math.pi) for a in els)
     d = circle_discrepancy(angs)
-    g4 = (Radius(fld, two_n).c4
-          * r_count_from_factors(fld, f2) * r_count_from_factors(fld, f1))
+    g4 = radius.c4 * r_count_from_factors(fld, f2) * r_count_from_factors(fld, f1)
     if q % 2 == 1:
         flat = gcd(two_n, q) == 1
     else:
@@ -194,8 +192,7 @@ def survey(fld: Discriminant, X: float, threads: int | None = None
     """
     if X < fld.q / 2:
         raise ValueError("X below the minimal radius")
-    rows = [r for t in range(fld.q + 2, int(2 * X) + 1, 2)
-            if (r := _survey_row(fld, t)) is not None]
+    rows = [_survey_row(radius) for radius in radii_up_to(fld, X)]
     count = len(rows)
     llx = math.log(math.log(X)) if X > math.e else float("nan")
     degenerate = count < 8 or not (llx > 0)
@@ -298,29 +295,28 @@ def circle_problem_sum(fld: Discriminant, x: float,
     The convolution sum runs over two_n in (q, q*x]; the distance-zero
     matrices (the stabilizer, unit_count/2 of them) are counted separately
     since the sum's natural two_n = q term would need a norm-zero factor.
-    The per-radius summand is (c4/4) r(n_minus) r(n_plus); the total times
-    4 is accumulated and asserted divisible.
+    The per-radius summand is (c4/4) r(n_minus) r(n_plus), nonzero only on
+    the realized radii; the total times 4 is accumulated and checked
+    divisible.
     """
     if x < 1:
         raise ValueError("x >= 1 required")
     q = fld.q
     lim = int(math.floor(q * x + 1e-9))
-    tot4 = 0
-    for two_n in range(q + 2, lim + 1, 2):
-        n_plus, n_minus = (two_n + q) // 2, (two_n - q) // 2
-        r1 = r_count_from_factors(fld, factorize(n_minus))
-        if r1 == 0:
-            continue
-        r2 = r_count_from_factors(fld, factorize(n_plus))
-        tot4 += Radius(fld, two_n).c4 * r1 * r2
-    assert tot4 % 4 == 0
+    tot4 = sum(r.c4 * r_count_from_factors(fld, factorize(r.n_minus))
+               * r_count_from_factors(fld, factorize(r.n_plus))
+               for r in radii_up_to(fld, lim / 2))
+    if tot4 % 4:
+        raise IdentityError(f"q={q} x={x}: 4 * convolution sum = {tot4} "
+                            "is not divisible by 4")
     conv = tot4 // 4
     centre = stabilizer_size(fld)
     if compute_direct is None:
         compute_direct = x <= 10 ** 3
     direct = direct_cosh_count(fld, x) if compute_direct else None
-    if direct is not None:
-        assert conv + centre == direct, (q, x, conv + centre, direct)
+    if direct is not None and conv + centre != direct:
+        raise IdentityError(f"q={q} x={x}: convolution sum {conv} + centre "
+                            f"{centre} != direct count {direct}")
     return CircleSumResult(q, x, conv + centre, conv, centre, direct)
 
 
@@ -332,20 +328,7 @@ def direct_cosh_count(fld: Discriminant, x: float) -> int:
     max_two_n = int(math.floor(q * x + 1e-9))
     if max_two_n < q:
         return 0
-    target = 8 * max_two_n
-    cnt = 0
-    for a0, b0, c, d in _row_families(fld, max_two_n):
-        A, B, C = _row_quadratic(fld, a0, b0, c, d)
-        disc = B * B - 4 * A * (C - target)
-        if disc < 0:
-            continue
-        w = isqrt(disc)
-        lo = (-B - w) // (2 * A) - 1
-        hi = (-B + w) // (2 * A) + 1
-        for t in range(lo, hi + 1):
-            if A * t * t + B * t + C <= target:
-                cnt += 1
-    return cnt
+    return sum(len(ms) for ms in brute_force_by_radius(fld, max_two_n).values())
 
 
 def matrix_angle_discrepancy(radius: Radius) -> float:

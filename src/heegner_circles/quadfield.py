@@ -363,8 +363,8 @@ def enumerate_norm(fld: Discriminant, M: int) -> list[AlgebraicInt]:
     """All u + r z_q of norm M by direct solve of the quadratic in u.
 
     Deterministic order: r ascending, then u ascending.  This is the
-    slow, assumption-free path; elements_of_norm() is the multiplicative
-    fast path and the two are cross-checked in the test suite.
+    slow, assumption-free path, kept as the test suite's oracle for
+    elements_of_norm(), the multiplicative path the library uses.
     """
     if M < 1:
         raise ValueError("enumerate_norm expects M >= 1")
@@ -453,10 +453,6 @@ def b_indicator(fld: Discriminant, n: int) -> bool:
     if n < 1:
         raise ValueError("b_indicator expects n >= 1")
     return all(e % 2 == 0 for p, e in factorize(n) if chi(fld, p) == -1)
-
-
-def b_indicator_from_factors(fld: Discriminant, factors: list[tuple[int, int]]) -> bool:
-    return all(e % 2 == 0 for p, e in factors if chi(fld, p) == -1)
 
 
 def omega_pair(fld: Discriminant, M: int) -> tuple[int, int]:

@@ -4,14 +4,22 @@ import math
 import pytest
 
 from conftest import radii_within
+from heegner_circles.bnumbers import _SEGMENT
 from heegner_circles.circles import (CirclePoint, Radius, angles,
                                      brute_force_by_radius,
                                      brute_force_matrices, enumerate_pairs,
                                      lattice_points, pairs_to_matrices,
                                      radii_up_to, stabilizer_size, weyl_angles)
 from heegner_circles.halfplane import arithmetic_radius, split_coordinates
-from heegner_circles.quadfield import (all_fields, b_indicator, field,
-                                       r_count, r_star, v_k)
+from heegner_circles.quadfield import (IdentityError, all_fields, b_indicator,
+                                       field, r_count, r_star, v_k)
+
+
+def per_candidate_radii(f, lo_two_n, hi_two_n):
+    """two_n in [lo, hi] of the right parity with n_plus and n_minus both norms."""
+    q = f.q
+    return [tn for tn in range(lo_two_n, hi_two_n + 1, 2)
+            if b_indicator(f, (tn + q) // 2) and b_indicator(f, (tn - q) // 2)]
 
 
 class TestRadius:
@@ -54,6 +62,25 @@ class TestRadiiUpTo:
             oracle = {tn for tn, ms in brute_force_by_radius(f, 200).items()
                       if ms and tn > f.q}
             assert fast == oracle, f.q
+
+    @pytest.mark.parametrize("q", [f.q for f in all_fields()])
+    def test_matches_per_candidate_definition(self, q):
+        f = field(q)
+        for x in (q / 2, q / 2 + 1, 57.5, 1500):
+            if x < q / 2:
+                continue
+            got = [r.two_n for r in radii_up_to(f, x)]
+            assert got == per_candidate_radii(f, q + 2, int(2 * x)), x
+
+    @pytest.mark.parametrize("q", [3, 163])
+    def test_window_across_sieve_segment_boundary(self, q):
+        # n_minus and n_plus = n_minus + q both cross the sieve's first block
+        # edge inside the window; only the window is checked against b_indicator
+        f = field(q)
+        lo_m, hi_m = _SEGMENT - 300, _SEGMENT + 300
+        got = [r.two_n for r in radii_up_to(f, hi_m + q / 2) if r.n_minus >= lo_m]
+        want = per_candidate_radii(f, 2 * lo_m + q, 2 * hi_m + q)
+        assert want and got == want
 
 
 class TestPairCounts:
@@ -170,7 +197,7 @@ class TestLatticePoints:
             assert {(-h, Y) for (h, Y) in pts} == pts
 
     def test_invalid_point_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(IdentityError):
             CirclePoint(1, 1, field(3), 5)
 
 

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from heegner_circles import circles, cli, quadfield
+import heegner_circles
+from heegner_circles import circles, cli, equidist, quadfield
 from heegner_circles.cli import build_parser, main
 
 SCHEMAS = json.loads(
@@ -63,6 +67,19 @@ class TestVerify:
         code, out = run(capsys, "verify", "--q", "3", "--max-two-n", "60")
         assert code == 1
         assert "\nFAIL identity q=3: " in out
+
+    def test_same_bytes_under_python_O(self):
+        # every check raises IdentityError, so -O (asserts stripped) changes nothing
+        src = os.path.dirname(os.path.dirname(heegner_circles.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path)
+        argv = ["-m", "heegner_circles.cli", "verify", "--q", "3", "--max-two-n", "60"]
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *argv], env=env,
+                           capture_output=True, check=True).stdout
+            for flags in ([], ["-O"]))
+        assert plain.endswith(b"all identities verified\n")
+        assert optimized == plain
 
 
 class TestCircle:
@@ -154,6 +171,12 @@ class TestSurveyCounts:
         row = out.strip().splitlines()[-1].split(",")
         assert row[1] == row[4]     # sum == direct count
         assert row[5] == "600"      # 6x column for q=3
+
+    def test_count_identity_error_exits_one(self, capsys, monkeypatch):
+        original = equidist.direct_cosh_count
+        monkeypatch.setattr(equidist, "direct_cosh_count",
+                            lambda fld, x: original(fld, x) + 1)
+        assert run(capsys, "count", "--q", "3", "--x", "50")[0] == 1
 
     def test_bnumbers_rows(self, capsys):
         code, out = run(capsys, "bnumbers", "--q", "4", "--x", "1000", "--h", "1")

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import radii_within
-from heegner_circles.circles import Radius, angles, lattice_points
+from heegner_circles import equidist
+from heegner_circles.circles import (Radius, angles, lattice_points,
+                                     stabilizer_size)
 from heegner_circles.equidist import (RATE_EXPONENT, circle_discrepancy,
                                       circle_problem_sum, default_harmonic_cutoff,
                                       direct_cosh_count, discrepancy_report,
@@ -14,8 +16,9 @@ from heegner_circles.equidist import (RATE_EXPONENT, circle_discrepancy,
                                       sharp_factorization_check,
                                       sharp_power_hits, survey,
                                       _discrepancy_pairs)
-from heegner_circles.quadfield import (all_fields, field, restricted_elements,
-                                       v_k)
+from heegner_circles.quadfield import (IdentityError, all_fields, factorize,
+                                       field, r_count_from_factors,
+                                       restricted_elements, v_k)
 
 
 class TestDiscrepancy:
@@ -166,6 +169,39 @@ class TestCircleProblemSum:
     def test_direct_count_cap(self):
         with pytest.raises(ValueError):
             direct_cosh_count(field(3), 2000)
+
+    def test_direct_mismatch_raises(self, monkeypatch):
+        # an IdentityError, not an assert, so the check survives python -O
+        original = equidist.direct_cosh_count
+        monkeypatch.setattr(equidist, "direct_cosh_count",
+                            lambda fld, x: original(fld, x) + 1)
+        with pytest.raises(IdentityError):
+            circle_problem_sum(field(3), 50)
+
+    @pytest.mark.parametrize("q", [3, 163])
+    def test_matches_per_candidate_sum(self, q):
+        # the oracle walks every candidate two_n in (q, q x] and factorizes
+        # both norms; circle_problem_sum visits only the realized radii
+        f = field(q)
+        lim = int(math.floor(q * 2000 + 1e-9))
+        tot4 = 0
+        for two_n in range(q + 2, lim + 1, 2):
+            r1 = r_count_from_factors(f, factorize((two_n - q) // 2))
+            if r1:
+                r2 = r_count_from_factors(f, factorize((two_n + q) // 2))
+                tot4 += Radius(f, two_n).c4 * r1 * r2
+        res = circle_problem_sum(f, 2000, compute_direct=False)
+        assert res.convolution_part == tot4 // 4
+        assert res.total == tot4 // 4 + stabilizer_size(f)
+
+    def test_factorizes_realized_radii_only(self, monkeypatch):
+        f = field(163)
+        calls = []
+        monkeypatch.setattr(equidist, "factorize",
+                            lambda n: calls.append(n) or factorize(n))
+        circle_problem_sum(f, 200, compute_direct=False)
+        radii = radii_within(f, 163 * 200 / 2)
+        assert sorted(calls) == sorted(n for r in radii for n in (r.n_minus, r.n_plus))
 
 
 class TestSurvey:
