@@ -1,11 +1,16 @@
 """Norm indicators at scale and shifted-pair counting.
 
 A number is a "norm value" for the field when every inert prime divides
-it to even order.  This module computes the indicator over ranges with a
-segmented sieve, counts shifted pairs (n, n + h) of norm values, builds
-the arithmetic progressions that force both members of a pair into the
-all-split regime, and evaluates the sifted counts that split such a
-progression by the number of large inert prime factors.
+it to even order.  This module computes the indicator over ranges, counts
+shifted pairs (n, n + h) of norm values, builds the arithmetic
+progressions that force both members of a pair into the all-split regime,
+and evaluates the sifted counts that split such a progression by the
+number of large inert prime factors.
+
+Both the indicator and the sifted counts come from one numpy block sieve
+over a linear form a*j + b (`_LinearForm`): the root of a*j + b = 0
+(mod p^k) is solved once per prime power, and every term that p^k divides
+is a strided slice of the block.  No term is factorized one at a time.
 """
 from __future__ import annotations
 
@@ -46,46 +51,87 @@ def classify(fld: Discriminant, n: int) -> Classification:
     return Classification.MIXED
 
 
+class _LinearForm:
+    """The terms a*j + b, sieved block by block by a fixed set of primes.
+
+    For every prime power p^k <= top the congruence a*j + b = 0 (mod p^k)
+    is solved once; its root r gives the terms p^k divides as the strided
+    slice j = r, r + p^k, ...  With gcd(a, b) = 1, a prime dividing a
+    divides no term.
+    """
+
+    def __init__(self, a: int, b: int, primes, top: int) -> None:
+        if gcd(a, b) != 1:
+            raise IdentityError(f"linear form {a}*j + {b} has a common factor")
+        self.a, self.b = a, b
+        self.roots: list[tuple[int, list[tuple[int, int]]]] = []
+        for p in primes:
+            p = int(p)
+            if a % p == 0:
+                continue
+            powers = []
+            pk = p
+            while pk <= top:
+                powers.append((pk, -b * pow(a, -1, pk) % pk))
+                pk *= p
+            self.roots.append((p, powers))
+
+    def values(self, lo: int, n: int) -> np.ndarray:
+        """The terms at j = lo, ..., lo + n - 1 as int64."""
+        first = self.a * lo + self.b
+        return np.arange(first, first + self.a * n, self.a, dtype=np.int64)
+
+    def hits(self, lo: int, n: int):
+        """(p, [(start, p^k), ...]) for each prime dividing a term of the
+        block j in [lo, lo + n): p^k divides exactly the terms at offsets
+        start, start + p^k, ... in the block, and the list stops at the
+        first power that divides none."""
+        for p, powers in self.roots:
+            slices = []
+            for pk, r in powers:
+                start = (r - lo) % pk
+                if start >= n:
+                    break
+                slices.append((start, pk))
+            if slices:
+                yield p, slices
+
+
 def norm_indicator_array(fld: Discriminant, limit: int) -> np.ndarray:
     """Boolean array ind[0..limit]: ind[n] iff n >= 1 is a norm value.
 
-    Segmented: each block tracks the parity of inert-prime valuations by
-    toggling multiples of successive prime powers, divides out every small
-    prime to expose the (at most one) prime factor above sqrt(limit), and
-    classifies that remainder by a character table lookup.
+    Segmented over blocks of 2^20: each inert prime p <= sqrt(limit)
+    writes the parity of its valuation on its own multiples only.  What
+    is left is at most one prime factor c > sqrt(limit), and it is not
+    divided out: chi is completely multiplicative, so once every small
+    inert exponent is even, chi(n with its ramified part stripped) =
+    chi(c), which is -1 exactly when c is inert.
     """
     if limit < 1:
         raise ValueError("limit >= 1 required")
-    small = _primes_up_to(isqrt(limit))
+    ram = fld.ramified_prime
     per = chi_period(fld)
     table = chi_table(fld)
-    ind = np.ones(limit + 1, dtype=bool)
-    ind[0] = False
+    small = _primes_up_to(isqrt(limit))
+    form = _LinearForm(1, 0, [ram, *small[table[small % per] == -1]], limit)
+    ind = np.empty(limit + 1, dtype=bool)
     for lo in range(0, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        if lo == 0:
-            rem[0] = 1
-        block_ok = np.ones(hi - lo, dtype=bool)
-        for p in small:
-            p = int(p)
-            inert = chi(fld, p) == -1
-            if inert:
-                parity = np.zeros(hi - lo, dtype=bool)
-                pj = p
-                while pj < hi:
-                    start = (-lo) % pj
-                    parity[start::pj] ^= True
-                    pj *= p
-                block_ok &= ~parity
-            pj = p
-            while pj < hi:
-                start = (-lo) % pj
-                rem[start::pj] //= p
-                pj *= p
-        big = rem > 1
-        block_ok &= ~(big & (table[rem % per] == -1))
-        ind[lo:hi] &= block_ok
+        n = min(_SEGMENT, limit + 1 - lo)
+        stripped = form.values(lo, n)
+        odd = np.zeros(n, dtype=bool)
+        for p, slices in form.hits(lo, n):
+            if p == ram:
+                for start, pk in slices:
+                    stripped[start::pk] //= p
+                continue
+            # parity of v_p on the multiples of p: 1 on each, toggled by p^2, p^3, ...
+            first = slices[0][0]
+            parity = np.ones(len(range(first, n, p)), dtype=bool)
+            for start, pk in slices[1:]:
+                parity[(start - first) // p::pk // p] ^= True
+            odd[first::p] |= parity
+        ind[lo:lo + n] = ~odd & (table[stripped % per] != -1)
+    ind[0] = False
     return ind
 
 
@@ -122,9 +168,10 @@ class ProgressionSpec:
     def term(self, j: int) -> tuple[int, int, int]:
         """(n, m1, m2) at index j, with m1 * m2 = n (n + h) / denominator."""
         n = self.n1 * j + self.n0
-        m2 = n + self.h_normalized
-        assert n % self.denominator == 0
-        return n, n // self.denominator, m2
+        if n % self.denominator:
+            raise IdentityError(f"q={self.field.q} h={self.h_original} j={j}: "
+                                f"{self.denominator} does not divide n={n}")
+        return n, n // self.denominator, n + self.h_normalized
 
 
 def _is_square_mod(a: int, q: int) -> bool:
@@ -188,11 +235,15 @@ def _check_progression(spec: ProgressionSpec, terms: int = 100) -> None:
     fld = spec.field
     for j in range(1, terms + 1):
         n, m1, m2 = spec.term(j)
-        assert gcd(n, n + spec.h_normalized) == 1, (spec, j)
-        assert (m1 * m2) % 2 == 1, (spec, j)
-        lhs = b_indicator(fld, n) and b_indicator(fld, n + spec.h_normalized)
-        rhs = b_indicator(fld, m1 * m2)
-        assert lhs == rhs, (spec, j)
+        where = f"q={fld.q} h={spec.h_original} j={j} n={n}"
+        if gcd(n, m2) != 1:
+            raise IdentityError(f"{where}: n and n + h share a factor")
+        if (m1 * m2) % 2 == 0:
+            raise IdentityError(f"{where}: reduced product {m1 * m2} is even")
+        lhs = b_indicator(fld, n) and b_indicator(fld, m2)
+        if lhs != b_indicator(fld, m1 * m2):
+            raise IdentityError(f"{where}: b(n) b(n + h) = {lhs:d} but "
+                                f"b(m1 m2) = {not lhs:d}")
 
 
 @dataclass(frozen=True)
@@ -227,34 +278,66 @@ class SiftedDecomposition:
         return self.sifted == self.all_split + self.two_large_inert + self.four_large_inert
 
 
-def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> SiftedDecomposition:
-    """One pass over the terms j <= y, each factorized once.
+#: Largest progression term the sieve takes: its primes stay within the
+#: 10^7 prime limit and its products within int64.
+_SIFT_TOP_LIMIT = 10 ** 14
 
-    Inert primes enter each factor of the reduced product in pairs (both
-    factors have character value +1 along the progression), so every term
-    carries 0, 2, 4, ... inert primes with multiplicity; an odd count
-    raises IdentityError.  all_split does not depend on z.
+
+def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> SiftedDecomposition:
+    """One block sieve over the terms j <= y of both factors of the reduced
+    product: m1 = (n1/4^sigma q) j + n0/4^sigma q and m2 = n1 j + n0 + h.
+
+    Every prime up to sqrt of the top term is divided out exactly, and each
+    inert prime power it takes off adds one to the term's inert count; the
+    cofactor left in m1 or m2 is 1 or a prime, read by the character table.
+    Inert primes enter each factor in pairs (both factors have character
+    value +1 along the progression), so every term carries 0, 2, 4, ...
+    inert primes with multiplicity; an odd count raises IdentityError.
+    all_split does not depend on z.
     """
-    sifted = all_split = two = four = deeper = 0
-    for j in range(1, int(math.floor(y)) + 1):
-        _, m1, m2 = spec.term(j)
-        inert = [p for m in (m1, m2) for p, e in factorize(m)
-                 if chi(fld, p) == -1 for _ in range(e)]
-        if len(inert) % 2:
+    Y = int(math.floor(y))
+    if Y < 1:
+        return SiftedDecomposition(0, 0, 0, 0, 0)
+    d = spec.denominator
+    if spec.n1 % d or spec.n0 % d:
+        raise IdentityError(f"q={fld.q} h={spec.h_original}: {d} does not divide "
+                            f"both n1={spec.n1} and n0={spec.n0}")
+    top = spec.n1 * Y + spec.n0 + abs(spec.h_normalized)
+    if top > _SIFT_TOP_LIMIT:
+        raise ValueError(f"top progression term n1*y + n0 + |h| = {top} "
+                         f"exceeds the sieve cap 10^14")
+    primes = _primes_up_to(isqrt(top))
+    per = chi_period(fld)
+    table = chi_table(fld)
+    inert = set(primes[table[primes % per] == -1].tolist())
+    forms = (_LinearForm(spec.n1 // d, spec.n0 // d, primes, top),
+             _LinearForm(spec.n1, spec.n0 + spec.h_normalized, primes, top))
+    counts = np.zeros(7, dtype=np.int64)   # sifted terms by inert count 0..6+
+    for lo in range(1, Y + 1, _SEGMENT):
+        n = min(_SEGMENT, Y + 1 - lo)
+        count = np.zeros(n, dtype=np.int64)   # inert primes with multiplicity
+        below_z = np.zeros(n, dtype=bool)     # some inert prime < z
+        for form in forms:
+            rem = form.values(lo, n)
+            for p, slices in form.hits(lo, n):
+                for start, pk in slices:
+                    rem[start::pk] //= p
+                if p in inert:
+                    for start, pk in slices:
+                        count[start::pk] += 1
+                    if p < z:
+                        below_z[slices[0][0]::p] = True
+            big = (rem > 1) & (table[rem % per] == -1)
+            count += big
+            below_z |= big & (rem < z)
+        odd = np.flatnonzero(count % 2)
+        if odd.size:
+            j = lo + int(odd[0])
             raise IdentityError(f"q={fld.q} h={spec.h_original} j={j}: "
-                                f"odd number of inert primes {inert}")
-        if any(p < z for p in inert):
-            continue
-        sifted += 1
-        if not inert:
-            all_split += 1
-        elif len(inert) == 2:
-            two += 1
-        elif len(inert) == 4:
-            four += 1
-        else:
-            deeper += 1
-    return SiftedDecomposition(sifted, all_split, two, four, deeper)
+                                f"odd number of inert primes ({count[odd[0]]})")
+        counts += np.bincount(np.minimum(count[~below_z], 6), minlength=7)
+    all_split, _, two, _, four, _, deeper = (int(c) for c in counts)
+    return SiftedDecomposition(int(counts.sum()), all_split, two, four, deeper)
 
 
 def b_star_count(fld: Discriminant, spec: ProgressionSpec, y: float) -> int:

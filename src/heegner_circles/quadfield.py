@@ -189,6 +189,7 @@ _SPF_LIMIT = 1 << 21
 
 _cache_lock = threading.Lock()
 _prime_table: np.ndarray | None = None
+_prime_table_bound = 0   # _prime_table holds every prime up to this
 _spf_table: np.ndarray | None = None
 
 
@@ -209,16 +210,21 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return g, y, x - (a // b) * y
 
 
-def prime_table() -> np.ndarray:
-    """Primes up to 10^7 (built once; concurrent builds race benignly)."""
-    global _prime_table
-    tbl = _prime_table
-    if tbl is None:
+def prime_table(bound: int = _PRIME_TABLE_LIMIT) -> np.ndarray:
+    """The primes up to at least min(bound, 10^7).
+
+    Sieved on first use only as far as asked, and sieved again, at least
+    twice as far and at most to 10^7, when a larger bound arrives.
+    """
+    global _prime_table, _prime_table_bound
+    bound = min(bound, _PRIME_TABLE_LIMIT)
+    if _prime_table_bound < bound:
         with _cache_lock:
-            if _prime_table is None:
-                _prime_table = _primes_up_to(_PRIME_TABLE_LIMIT)
-            tbl = _prime_table
-    return tbl
+            if _prime_table_bound < bound:
+                grown = min(max(bound, 2 * _prime_table_bound), _PRIME_TABLE_LIMIT)
+                _prime_table = _primes_up_to(grown)
+                _prime_table_bound = grown
+    return _prime_table
 
 
 def _spf() -> np.ndarray:
@@ -300,7 +306,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
         out.sort()
         return out
     out = []
-    for p in prime_table():
+    for p in prime_table(isqrt(n)):
         p = int(p)
         if p * p > n:
             break

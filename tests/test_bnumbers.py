@@ -4,12 +4,14 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from heegner_circles.bnumbers import (Classification, build_progression,
-                                      b_star_count, classify,
-                                      norm_indicator_array, shifted_count,
-                                      sieve_window, sifted_count,
+from heegner_circles import bnumbers
+from heegner_circles.bnumbers import (Classification, SiftedDecomposition,
+                                      _sift, build_progression, b_star_count,
+                                      classify, norm_indicator_array,
+                                      shifted_count, sieve_window, sifted_count,
                                       sifted_decomposition)
-from heegner_circles.quadfield import all_fields, b_indicator, chi, field
+from heegner_circles.quadfield import (IdentityError, all_fields, b_indicator,
+                                       chi, factorize, field)
 
 
 class TestClassify:
@@ -44,13 +46,12 @@ class TestNormIndicatorArray:
                 assert bool(ind[n]) == b_indicator(f, n), (f.q, n)
 
     def test_segment_boundaries(self):
-        # limit above one segment so the block seams are exercised
-        f = field(4)
-        big = (1 << 20) + 500
-        ind = norm_indicator_array(f, big)
-        lo = 1 << 20
-        for n in range(lo - 300, lo + 300):
-            assert bool(ind[n]) == b_indicator(f, n), n
+        # limit above two segments so both block seams are exercised
+        for f in all_fields():
+            ind = norm_indicator_array(f, (2 << 20) + 500)
+            for seam in (1 << 20, 2 << 20):
+                for n in range(seam - 300, seam + 300):
+                    assert bool(ind[n]) == b_indicator(f, n), (f.q, n)
 
     def test_composite_structure(self):
         # n is a norm value iff it factors as (all-split part) * (even inert
@@ -115,7 +116,7 @@ class TestBuildProgression:
         (7, 1), (7, 2), (8, 1), (8, 3), (11, 2), (19, 1),
     ])
     def test_indicator_identity_on_terms(self, q, h):
-        # the constructor itself asserts the first 100 terms; re-check a few
+        # the constructor itself checks the first 100 terms; re-check a few
         f = field(q)
         sp = build_progression(f, h)
         for j in (1, 7, 50):
@@ -123,6 +124,25 @@ class TestBuildProgression:
             lhs = b_indicator(f, n) and b_indicator(f, n + sp.h_normalized)
             assert lhs == b_indicator(f, m1 * m2)
             assert (m1 * m2) % 2 == 1
+
+    def test_flipped_indicator_raises(self, monkeypatch):
+        # the constructor's check raises, so it still runs under python -O
+        f = field(3)
+        _, m1, m2 = build_progression(f, 1).term(40)
+        original = bnumbers.b_indicator
+        monkeypatch.setattr(bnumbers, "b_indicator", lambda fld, n:
+                            original(fld, n) != (n == m1 * m2))
+        with pytest.raises(IdentityError, match="j=40"):
+            build_progression(f, 1)
+
+    def test_indivisible_term_raises(self):
+        sp = build_progression(field(3), 1)
+        bad = bnumbers.ProgressionSpec(sp.field, sp.h_original, sp.h_normalized,
+                                       sp.sigma, sp.n0 + 1, sp.n1, sp.negated)
+        with pytest.raises(IdentityError):
+            bad.term(1)
+        with pytest.raises(IdentityError):
+            _sift(sp.field, bad, 10, 50)
 
 
 class TestBStarCount:
@@ -182,3 +202,66 @@ class TestSiftedCount:
         assert dec.exact and dec.deeper == 0
         assert dec.sifted == sifted_count(f, sp, 300, 300 ** (1 / 2.2))
         assert dec.all_split == b_star_count(f, sp, 300)
+
+
+def _inert_primes_per_term(fld, spec, y):
+    """The per-term loop: the inert primes, with multiplicity, of both
+    factors of each reduced product j <= y, each factor factorized."""
+    out = []
+    for j in range(1, int(math.floor(y)) + 1):
+        _, m1, m2 = spec.term(j)
+        out.append([p for m in (m1, m2) for p, e in factorize(m)
+                    if chi(fld, p) == -1 for _ in range(e)])
+    return out
+
+
+def _sift_oracle(per_term, z):
+    """SiftedDecomposition of the terms whose inert primes are per_term."""
+    sifted = all_split = two = four = deeper = 0
+    for inert in per_term:
+        assert len(inert) % 2 == 0, inert
+        if any(p < z for p in inert):
+            continue
+        sifted += 1
+        if not inert:
+            all_split += 1
+        elif len(inert) == 2:
+            two += 1
+        elif len(inert) == 4:
+            four += 1
+        else:
+            deeper += 1
+    return SiftedDecomposition(sifted, all_split, two, four, deeper)
+
+
+class TestSift:
+    @pytest.mark.parametrize("h", [1, -1, 2, 3, 5, 6, 12])
+    @pytest.mark.parametrize("q", [f.q for f in all_fields()])
+    def test_matches_per_term_factorization(self, q, h):
+        # z = y^(1/1.2) lies above the sieve bound sqrt(top) for the smaller
+        # progressions, where the cofactor left after sieving can lie below z
+        f = field(q)
+        sp = build_progression(f, h)
+        per_term = _inert_primes_per_term(f, sp, 2000)
+        for y in (1, 2, 500, 2000):
+            for z in (2.5, 50, y ** (1 / 2.5), y ** (1 / 1.2), math.inf):
+                assert _sift(f, sp, y, z) == _sift_oracle(per_term[:y], z), (y, z)
+
+    def test_top_term_cap(self, monkeypatch):
+        # the largest y whose top term n1*y + n0 + |h| is at most 10^14 reaches
+        # the sieve (stopped at its first step here); one more is refused
+        f = field(163)
+        sp = build_progression(f, 53)
+        y = (10 ** 14 - sp.n0 - abs(sp.h_normalized)) // sp.n1
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(bnumbers, "_LinearForm", reached)
+        with pytest.raises(Reached):
+            _sift(f, sp, y, 50)
+        with pytest.raises(ValueError, match="10\\^14"):
+            _sift(f, sp, y + 1, 50)

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import heegner_circles
-from heegner_circles import circles, cli, equidist, quadfield
+from heegner_circles import bnumbers, circles, cli, equidist, quadfield
 from heegner_circles.cli import build_parser, main
 
 SCHEMAS = json.loads(
@@ -195,6 +195,27 @@ class TestSurveyCounts:
         assert run(capsys, "bnumbers", "--q", "3", "--x", "100", "--h", "0",
                    "--s", "2.2")[0] == 2
 
+    def test_bnumbers_sieve_top_term_cap(self, capsys):
+        # q = 163, h = 53: n1 = 11265256, so y = 8876851 puts the top term
+        # n1*y + n0 + |h| just above 10^14
+        spec = bnumbers.build_progression(quadfield.field(163), 53)
+        y = (10 ** 14 - spec.n0 - 53) // spec.n1 + 1
+        for view in (["--s", "2.5"], ["--z", "50"]):
+            code = main(["bnumbers", "--q", "163", "--x", str(y), "--h", "53", *view])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "exceeds the sieve cap 10^14" in err
+
+    def test_bnumbers_progression_identity_error_exits_one(self, capsys, monkeypatch):
+        # b(n) b(n + h) = b(m1 m2) flipped on one of the first 100 terms
+        _, m1, m2 = bnumbers.build_progression(quadfield.field(3), 1).term(7)
+        original = bnumbers.b_indicator
+        monkeypatch.setattr(bnumbers, "b_indicator", lambda fld, n:
+                            original(fld, n) != (n == m1 * m2))
+        code, out = run(capsys, "bnumbers", "--q", "3", "--x", "100", "--h", "1",
+                        "--s", "2.2")
+        assert code == 1 and out == ""
+
 
 class TestPlot:
     def test_figure_counts(self, capsys, tmp_path):
@@ -253,11 +274,15 @@ GOLDEN_STDOUT = [
      "e89f3bce835518fac0afb0392aff93f24c2cb6f11bdf46a0f8a0043546454477"),
     (["bnumbers", "--q", "7", "--x", "300", "--h", "3", "--s", "2.5"],
      "b5a8971269d620f7a07963c58fb5d576d3a35bfd6afdf81abd3b497474459527"),
+    # three sieve segments at the top row
+    (["bnumbers", "--q", "19", "--x", "2200000", "--h", "2"],
+     "88ba87fc016930f444e8e43183c1fe8893ca4608c5a53b7ef9103b93575613b5"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
-                         ids=["survey", "circle", "count", "bnumbers-z", "bnumbers-s"])
+                         ids=["survey", "circle", "count", "bnumbers-z", "bnumbers-s",
+                              "bnumbers-curve"])
 def test_golden_stdout(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0

@@ -145,6 +145,21 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(0)
 
+    def test_prime_table_grows_on_demand(self, monkeypatch):
+        # sieved only as far as sqrt(n) asks, regrown for a larger n, never past 10^7
+        monkeypatch.setattr(quadfield, "_prime_table", None)
+        monkeypatch.setattr(quadfield, "_prime_table_bound", 0)
+        assert factorize(1000003 * 1000033) == [(1000003, 1), (1000033, 1)]
+        first = quadfield._prime_table
+        assert 1000003 <= quadfield._prime_table_bound < 2 * 1000033
+        assert first[-1] <= quadfield._prime_table_bound
+        assert factorize(3 * 1000003) == [(3, 1), (1000003, 1)]
+        assert quadfield._prime_table is first
+        big = 2 ** 61 - 1
+        assert factorize(3 * big) == [(3, 1), (big, 1)]
+        assert quadfield._prime_table_bound == 10 ** 7
+        assert quadfield._prime_table[-1] == 9999991
+
 
 class TestRCount:
     @pytest.mark.parametrize("q,M,expect", [
