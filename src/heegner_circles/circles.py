@@ -24,8 +24,8 @@ import numpy as np
 from .bnumbers import norm_indicator_array
 from .halfplane import (UnimodularMatrix, arithmetic_radius, congruence_holds,
                         coords_from_split, matrix_from_split, _radius16)
-from .quadfield import (AlgebraicInt, Discriminant, IdentityError,
-                        elements_of_norm, r_count, _ext_gcd)
+from .quadfield import (AlgebraicInt, Discriminant, IdentityError, r_count,
+                        _element_coords, _ext_gcd)
 from .quadfield import factorize  # unused; bench/test_bench.py asserts it is bound here
 
 
@@ -133,12 +133,12 @@ def enumerate_pairs(radius: Radius) -> list[SplitPair]:
     if radius.two_n <= radius.field.q:
         raise ValueError("two_n = q is the circle centre; no pairs")
     fld = radius.field
-    seconds = elements_of_norm(fld, radius.n_minus)
+    seconds = _element_coords(fld, radius.n_minus)
     seen = set()
-    for a1 in elements_of_norm(fld, radius.n_plus):
-        for a2 in seconds:
-            if congruence_holds(fld, a1.r, a1.u, a2.r, a2.u):
-                seen.add(_canonical_rust((a1.r, a1.u, a2.r, a2.u)))
+    for u, r in _element_coords(fld, radius.n_plus):
+        for t, s in seconds:
+            if congruence_holds(fld, r, u, s, t):
+                seen.add(_canonical_rust((r, u, s, t)))
     out = [SplitPair(AlgebraicInt(u, r, fld), AlgebraicInt(t, s, fld))
            for (r, u, s, t) in sorted(seen)]
     for p in out:

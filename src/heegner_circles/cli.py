@@ -348,8 +348,11 @@ def cmd_bnumbers(args) -> int:
 def _bnumbers_sieve_table(args, fld: Discriminant) -> int:
     """Progression sieve view: --x is the index bound y; --s (or --z) sets
     the sifting cut z = y^(1/s) (or z directly)."""
-    spec = bnumbers.build_progression(fld, args.h)
     y = args.x
+    if y < 1:
+        print("bnumbers: --x must be at least 1 in the sieve view", file=sys.stderr)
+        return 2
+    spec = bnumbers.build_progression(fld, args.h)
     if args.z is not None:
         z = args.z
         if z <= 2:

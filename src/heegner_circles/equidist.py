@@ -11,7 +11,7 @@ from math import gcd
 
 from .circles import Radius, brute_force_by_radius, radii_up_to, stabilizer_size
 from .quadfield import (Discriminant, IdentityError, chi, factorize, r_count,
-                        r_count_from_factors, restricted_elements, v_k,
+                        r_count_from_factors, restricted_angles, v_k,
                         weyl_profile)
 
 #: Exponent from the equidistribution rate: log(pi/2)/log 2.
@@ -119,8 +119,7 @@ def gamma_count(radius: Radius) -> int:
 
 def discrepancy_report(radius: Radius, K: int | None = None) -> DiscrepancyReport:
     fld = radius.field
-    els = restricted_elements(fld, radius.norm_product)
-    angs = sorted(a.angle() % (2 * math.pi) for a in els)
+    angs = sorted(a % (2 * math.pi) for a in restricted_angles(fld, radius.norm_product))
     d = circle_discrepancy(angs)
     return DiscrepancyReport(radius.two_n, len(angs), d,
                              et_bound(fld, radius, K), gamma_count(radius))
@@ -162,19 +161,17 @@ def _survey_row(radius: Radius) -> SurveyRow:
     for p, e in f1 + f2:
         merged[p] = merged.get(p, 0) + e
     factors = sorted(merged.items())
-    M = radius.norm_product
     om = sum(1 for p, _ in factors if chi(fld, p) == 1)
     Om = sum(e for p, e in factors if chi(fld, p) == 1)
-    els = restricted_elements(fld, M, factors)
-    angs = sorted(a.angle() % (2 * math.pi) for a in els)
+    angs = sorted(a % (2 * math.pi) for a in restricted_angles(fld, radius.norm_product, factors))
     d = circle_discrepancy(angs)
     g4 = radius.c4 * r_count_from_factors(fld, f2) * r_count_from_factors(fld, f1)
     if q % 2 == 1:
         flat = gcd(two_n, q) == 1
     else:
         flat = gcd(two_n // 2, q) == 1
-    return SurveyRow(two_n, om, Om, flat, math.log2(len(els)),
-                     len(els), g4 // 4, d)
+    return SurveyRow(two_n, om, Om, flat, math.log2(len(angs)),
+                     len(angs), g4 // 4, d)
 
 
 def _quantiles(vals: list[float]) -> tuple[float, float, float]:

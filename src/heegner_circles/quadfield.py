@@ -62,13 +62,7 @@ class Discriminant:
         return 2 if self.q % 2 == 0 else self.q
 
     def units(self) -> list["AlgebraicInt"]:
-        if self.q == 3:
-            coords = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
-        elif self.q == 4:
-            coords = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-        else:
-            coords = [(1, 0), (-1, 0)]
-        return [AlgebraicInt(u, r, self) for u, r in coords]
+        return [AlgebraicInt(u, r, self) for u, r in _UNIT_COORDS[self.unit_count]]
 
     def ramified_generator(self) -> "AlgebraicInt":
         """An element of norm equal to the ramified prime."""
@@ -78,6 +72,11 @@ class Discriminant:
             return AlgebraicInt(1, 1, self)    # 1 + i
         return AlgebraicInt(0, 1, self)        # i*sqrt(2) = z_8
 
+
+#: (u, r) of the units, keyed by their number, in the order compositions use.
+_UNIT_COORDS = {6: ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)),
+                4: ((1, 0), (0, 1), (-1, 0), (0, -1)),
+                2: ((1, 0), (-1, 0))}
 
 _FIELDS = {q: Discriminant(q, 0 if q in (4, 8) else 1,
                            6 if q == 3 else 4 if q == 4 else 2)
@@ -114,21 +113,21 @@ class AlgebraicInt:
     def __mul__(self, other: "AlgebraicInt") -> "AlgebraicInt":
         f = self.field
         assert f is other.field or f == other.field
-        u1, r1, u2, r2 = self.u, self.r, other.u, other.r
-        return AlgebraicInt(u1 * u2 - r1 * r2 * f.z_norm,
-                            u1 * r2 + u2 * r1 + f.two_mu * r1 * r2, f)
+        return AlgebraicInt(*_mul((self.u, self.r), (other.u, other.r), f.z_norm, f.two_mu), f)
 
     @property
     def two_re(self) -> int:
         """2 * Re(u + r z_q), an exact integer."""
         return 2 * self.u + self.field.two_mu * self.r
 
-    def to_complex(self) -> complex:
-        return complex(self.two_re / 2.0, self.r * math.sqrt(self.field.q) / 2.0)
-
     def angle(self) -> float:
         """Principal argument of the element as a point of the complex plane."""
         return math.atan2(self.r * math.sqrt(self.field.q), self.two_re)
+
+
+def _mul(a: tuple[int, int], b: tuple[int, int], zn: int, tm: int) -> tuple[int, int]:
+    """(u, r) of the product of u1 + r1 z and u2 + r2 z, with z^2 = tm*z - zn."""
+    return (a[0] * b[0] - a[1] * b[1] * zn, a[0] * b[1] + b[0] * a[1] + tm * a[1] * b[1])
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +165,11 @@ def kronecker(a: int, n: int) -> int:
 
 
 def chi(fld: Discriminant, n: int) -> int:
-    """The real character of the field: +1 split, -1 inert, 0 ramified."""
+    """The real character of the field: +1 split, -1 inert, 0 ramified.
+    -q is a fundamental discriminant, so a table modulo chi_period is exact on n > 0."""
+    if n > 0:
+        tbl = _CHI_TABLES[fld.q]
+        return tbl[n % len(tbl)]
     return kronecker(-fld.q, n)
 
 
@@ -174,10 +177,13 @@ def chi_period(fld: Discriminant) -> int:
     return 8 if fld.q == 8 else fld.q
 
 
+_CHI_TABLES = {f.q: tuple(kronecker(-f.q, i) for i in range(chi_period(f)))
+               for f in _FIELDS.values()}
+
+
 def chi_table(fld: Discriminant) -> np.ndarray:
     """chi on residues modulo its period, for vectorized lookups."""
-    per = chi_period(fld)
-    return np.array([chi(fld, i) for i in range(per)], dtype=np.int64)
+    return np.array(_CHI_TABLES[fld.q], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +253,18 @@ def _spf() -> np.ndarray:
     return tbl
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981   # psi_13 (Sorenson-Webster 2017)
+
+
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin with the prime bases 2..41: exact below psi_13,
+    the least composite passing all 13, and a ValueError at or above it."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_probable_prime is exact only below {_MR_LIMIT}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -259,7 +272,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -290,7 +303,8 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending."""
+    """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending.
+    A cofactor above the prime table at or past psi_13 raises ValueError."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     if n < _SPF_LIMIT:
@@ -394,35 +408,35 @@ def enumerate_norm(fld: Discriminant, M: int) -> list[AlgebraicInt]:
 _split_gen_cache: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-def split_generator(fld: Discriminant, p: int) -> AlgebraicInt:
-    """One element of norm p for a split prime p."""
+def _split_coords(fld: Discriminant, p: int) -> tuple[int, int]:
+    """(u, r) of one element of norm p for a split prime p."""
     key = (fld.q, p)
     hit = _split_gen_cache.get(key)
     if hit is not None:
-        return AlgebraicInt(hit[0], hit[1], fld)
+        return hit
     tm = fld.two_mu
     for r in range(1, isqrt(4 * p // fld.q) + 1):
         d = 4 * p - fld.q * r * r
         w = isqrt(d)
         if w * w == d and (w - tm * r) % 2 == 0:
-            u = (w - tm * r) // 2
-            _split_gen_cache[key] = (u, r)
-            return AlgebraicInt(u, r, fld)
+            hit = _split_gen_cache[key] = ((w - tm * r) // 2, r)
+            return hit
     raise ValueError(f"{p} is not split for q={fld.q}")
 
 
-def elements_of_norm(fld: Discriminant, M: int,
-                     factors: list[tuple[int, int]] | None = None) -> list[AlgebraicInt]:
-    """All elements of norm M, composed from prime elements.
+def _element_coords(fld: Discriminant, M: int,
+                    factors: list[tuple[int, int]] | None = None) -> list[tuple[int, int]]:
+    """(u, r) of every element of norm M, composed from prime elements.
 
     Unique factorization makes the unit * product expansion hit every
     element exactly once, so the result has length r_count(M) with no
-    deduplication.  Cost is O(r_count(M)) after factorizing M, which is
-    what makes radius sweeps at desk scale feasible.
+    deduplication.  Cost is O(r_count(M)) after factorizing M.  Order:
+    units outer, composed base inner; products as AlgebraicInt.__mul__.
     """
     if factors is None:
         factors = factorize(M)
-    base = [AlgebraicInt(1, 0, fld)]
+    zn, tm = fld.z_norm, fld.two_mu
+    base = [(1, 0)]
     scalar = 1
     for p, e in factors:
         c = chi(fld, p)
@@ -431,27 +445,27 @@ def elements_of_norm(fld: Discriminant, M: int,
                 return []
             scalar *= p ** (e // 2)
         elif c == 0:
-            a = AlgebraicInt(1, 0, fld)
             g = fld.ramified_generator()
             for _ in range(e):
-                a = a * g
-            base = [b * a for b in base]
+                base = [_mul(b, (g.u, g.r), zn, tm) for b in base]
         else:
-            pi = split_generator(fld, p)
-            pic = pi.conj()
-            pows = [AlgebraicInt(1, 0, fld)]
+            pi = _split_coords(fld, p)
+            pic = (pi[0] + tm * pi[1], -pi[1])
+            pows, cpows = [(1, 0)], [(1, 0)]
             for _ in range(e):
-                pows.append(pows[-1] * pi)
-            cpows = [AlgebraicInt(1, 0, fld)]
-            for _ in range(e):
-                cpows.append(cpows[-1] * pic)
-            base = [b * (pows[j] * cpows[e - j]) for b in base for j in range(e + 1)]
-    out = []
-    for un in fld.units():
-        for b in base:
-            el = un * b
-            out.append(AlgebraicInt(el.u * scalar, el.r * scalar, fld))
-    return out
+                pows.append(_mul(pows[-1], pi, zn, tm))
+                cpows.append(_mul(cpows[-1], pic, zn, tm))
+            facs = [_mul(pows[j], cpows[e - j], zn, tm) for j in range(e + 1)]
+            base = [_mul(b, f, zn, tm) for b in base for f in facs]
+    # _mul written out: this is the one loop that runs once per element
+    return [((uu * bu - ur * br * zn) * scalar, (uu * br + bu * ur + tm * ur * br) * scalar)
+            for uu, ur in _UNIT_COORDS[fld.unit_count] for bu, br in base]
+
+
+def elements_of_norm(fld: Discriminant, M: int,
+                     factors: list[tuple[int, int]] | None = None) -> list[AlgebraicInt]:
+    """All elements of norm M, in the order of _element_coords."""
+    return [AlgebraicInt(u, r, fld) for u, r in _element_coords(fld, M, factors)]
 
 
 def b_indicator(fld: Discriminant, n: int) -> bool:
@@ -495,15 +509,27 @@ def residue_m(fld: Discriminant, M: int) -> int:
     raise ValueError(f"M={M} is not a square modulo {q}; not a norm")
 
 
+def _restricted_coords(fld: Discriminant, M: int,
+                       factors: list[tuple[int, int]] | None) -> list[tuple[int, int]]:
+    """(u, r) of the elements of norm M with 2*Re = 2m (mod q), in element order."""
+    els = _element_coords(fld, M, factors)
+    if not els:
+        return []
+    m2, q, tm = 2 * residue_m(fld, M), fld.q, fld.two_mu
+    return [(u, r) for u, r in els if (2 * u + tm * r - m2) % q == 0]
+
+
 def restricted_elements(fld: Discriminant, M: int,
                         factors: list[tuple[int, int]] | None = None) -> list[AlgebraicInt]:
     """Elements of norm M satisfying 2*Re = 2m (mod q)."""
-    els = elements_of_norm(fld, M, factors)
-    if not els:
-        return []
-    m2 = 2 * residue_m(fld, M)
-    q = fld.q
-    return [a for a in els if (a.two_re - m2) % q == 0]
+    return [AlgebraicInt(u, r, fld) for u, r in _restricted_coords(fld, M, factors)]
+
+
+def restricted_angles(fld: Discriminant, M: int,
+                      factors: list[tuple[int, int]] | None = None) -> list[float]:
+    """AlgebraicInt.angle() of each restricted element, in element order."""
+    sq, tm = math.sqrt(fld.q), fld.two_mu
+    return [math.atan2(r * sq, 2 * u + tm * r) for u, r in _restricted_coords(fld, M, factors)]
 
 
 _r_star_cache: dict[tuple[int, int], int] = {}
@@ -521,9 +547,7 @@ def r_star(fld: Discriminant, M: int) -> int:
     hit = _r_star_cache.get(key)
     if hit is not None:
         return hit
-    if not b_indicator(fld, M):
-        return 0
-    direct = len(restricted_elements(fld, M))
+    direct = len(restricted_angles(fld, M))
     rc = r_count(fld, M)
     closed = rc if gcd(M, fld.q) > 1 else rc // 2
     if direct != closed:
@@ -544,26 +568,22 @@ def v_k(fld: Discriminant, M: int, k: int) -> float:
     """
     if M < 1:
         raise ValueError("v_k expects M >= 1")
-    if not b_indicator(fld, M):
+    angs = restricted_angles(fld, M)
+    if not angs:
         return 0.0
-    els = restricted_elements(fld, M)
-    if not els:
-        return 0.0
-    s = sum(cmath.exp(1j * k * a.angle()) for a in els)
-    return abs(s) / len(els)
+    s = sum(cmath.exp(1j * k * a) for a in angs)
+    return abs(s) / len(angs)
 
 
 def weyl_profile(fld: Discriminant, M: int, K: int) -> list[float]:
     """[v_1(M), ..., v_K(M)] from a single element enumeration."""
-    if not b_indicator(fld, M):
+    angs = restricted_angles(fld, M)
+    if not angs:
         return [0.0] * K
-    els = restricted_elements(fld, M)
-    if not els:
-        return [0.0] * K
-    phases = [cmath.exp(1j * a.angle()) for a in els]
+    phases = [cmath.exp(1j * a) for a in angs]
     out = []
     powers = list(phases)
     for _ in range(K):
-        out.append(abs(sum(powers)) / len(els))
+        out.append(abs(sum(powers)) / len(angs))
         powers = [p * ph for p, ph in zip(powers, phases)]
     return out

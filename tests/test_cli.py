@@ -206,6 +206,15 @@ class TestSurveyCounts:
             assert code == 2
             assert "exceeds the sieve cap 10^14" in err
 
+    @pytest.mark.parametrize("x", ["-5", "0.5"])
+    @pytest.mark.parametrize("view", [["--s", "2.5"], ["--z", "50"]], ids=["s", "z"])
+    def test_bnumbers_sieve_rejects_x_below_one(self, capsys, x, view):
+        code = main(["bnumbers", "--q", "3", "--x", x, "--h", "1", *view])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "--x must be at least 1" in err
+
     def test_bnumbers_progression_identity_error_exits_one(self, capsys, monkeypatch):
         # b(n) b(n + h) = b(m1 m2) flipped on one of the first 100 terms
         _, m1, m2 = bnumbers.build_progression(quadfield.field(3), 1).term(7)
@@ -277,12 +286,23 @@ GOLDEN_STDOUT = [
     # three sieve segments at the top row
     (["bnumbers", "--q", "19", "--x", "2200000", "--h", "2"],
      "88ba87fc016930f444e8e43183c1fe8893ca4608c5a53b7ef9103b93575613b5"),
+    # element composition, congruence filter and angles on many radii
+    (["survey", "--q", "3", "--x", "3000"],
+     "a8b3f4af2a06c9816ebe2894cf3e536214ce6fc527521a4c06d4ce47c5135bc5"),
+    (["survey", "--q", "4", "--x", "3000"],
+     "d382b5028317cee3465f9ed7aed78bc5ec0b74d86d45b3889b201617853c185e"),
+    # pairs at two_n ~ 4e6 and the Erdos-Turan bound summed in element order
+    (["circle", "--q", "3", "--two-n", "4000931,4000949", "--k", "8"],
+     "217845766af7579400785a77a8d003c91827584b9721c291a92c28b112dac500"),
+    (["verify", "--q", "all", "--max-two-n", "200"],
+     "5e111740fedc813771a9242c70d58b8a86e6f0b84e7014ac8d1fb6ae58f1f491"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
                          ids=["survey", "circle", "count", "bnumbers-z", "bnumbers-s",
-                              "bnumbers-curve"])
+                              "bnumbers-curve", "survey-q3-3000", "survey-q4-3000",
+                              "circle-4e6-k8", "verify-all-200"])
 def test_golden_stdout(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0

@@ -2,8 +2,10 @@ import math
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import factorint, isprime, nextprime
+from sympy.functions.combinatorial.numbers import kronecker_symbol
 
 from heegner_circles import quadfield
 from heegner_circles.quadfield import (CLASS_NUMBER_ONE_Q, AlgebraicInt,
@@ -11,8 +13,8 @@ from heegner_circles.quadfield import (CLASS_NUMBER_ONE_Q, AlgebraicInt,
                                        chi, elements_of_norm, enumerate_norm,
                                        factorize, field, is_probable_prime,
                                        kronecker, omega_pair, r_count,
-                                       r_star, residue_m, restricted_elements,
-                                       v_k, weyl_profile)
+                                       r_star, residue_m, restricted_angles,
+                                       restricted_elements, v_k, weyl_profile)
 
 QS = CLASS_NUMBER_ONE_Q
 
@@ -85,6 +87,15 @@ class TestChi:
         for f in all_fields():
             assert chi(f, a * b) == chi(f, a) * chi(f, b)
 
+    @given(st.integers(-10 ** 6, 10 ** 12))
+    @example(0)
+    @example(-1)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sympy_kronecker_symbol(self, n):
+        # positive n read off the per-field table, the rest through kronecker
+        for f in all_fields():
+            assert chi(f, n) == kronecker_symbol(-f.q, n), (f.q, n)
+
     def test_kronecker_bottom_cases(self):
         assert kronecker(1, 0) == 1
         assert kronecker(2, 0) == 0
@@ -145,6 +156,45 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(0)
 
+    def test_psi12_is_composite(self):
+        # the least strong pseudoprime to the twelve prime bases 2..37
+        psi12 = 318665857834031151167461
+        assert not is_probable_prime(psi12)
+        assert factorize(psi12) == [(399165290221, 1), (798330580441, 1)]
+
+    def test_miller_rabin_limit_raises(self):
+        # psi13 is composite and a strong pseudoprime to all thirteen bases 2..41
+        psi13 = 3317044064679887385961981
+        assert is_probable_prime(psi13 - 2) == isprime(psi13 - 2)
+        with pytest.raises(ValueError):
+            is_probable_prime(psi13)
+        with pytest.raises(ValueError):
+            factorize(psi13)
+
+    @given(st.integers(1, 10 ** 12))
+    @example(2 ** 21 - 1)
+    @example(2 ** 21)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy_factorint(self, n):
+        assert factorize(n) == sorted(factorint(n).items())
+
+    @given(st.integers(10 ** 7, 10 ** 9), st.integers(10 ** 7, 10 ** 9), st.integers(1, 1000))
+    @settings(max_examples=8, deadline=None)
+    def test_matches_sympy_factorint_in_rho_range(self, a, b, c):
+        # two prime factors above the 10^7 table: trial division leaves them to rho
+        n = nextprime(a) * nextprime(b) * c
+        assert factorize(n) == sorted(factorint(n).items())
+
+    @given(st.one_of(st.integers(-10, 10 ** 6), st.integers(0, 3317044064679887385961980),
+                     st.integers(2, 10 ** 23).map(nextprime),
+                     st.tuples(st.integers(2, 10 ** 12), st.integers(2, 10 ** 12))
+                     .map(lambda t: nextprime(t[0]) * nextprime(t[1]))))
+    @example(3215031751)            # strong pseudoprime to bases 2, 3, 5, 7
+    @example(3825123056546413051)   # least strong pseudoprime to bases 2..31
+    @settings(max_examples=300, deadline=None)
+    def test_is_probable_prime_matches_sympy_isprime(self, n):
+        assert is_probable_prime(n) == isprime(n)
+
     def test_prime_table_grows_on_demand(self, monkeypatch):
         # sieved only as far as sqrt(n) asks, regrown for a larger n, never past 10^7
         monkeypatch.setattr(quadfield, "_prime_table", None)
@@ -200,12 +250,34 @@ class TestEnumerateNorm:
         assert [(e.r, e.u) for e in els] == sorted((e.r, e.u) for e in els)
 
     def test_composition_agrees(self):
+        def agree(f, M):
+            fast = sorted((e.r, e.u) for e in elements_of_norm(f, M))
+            slow = sorted((e.r, e.u) for e in enumerate_norm(f, M))
+            assert fast == slow, (f.q, M)
+            assert len(fast) == len(set(fast))
+
         for f in all_fields():
             for M in range(1, 700):
-                fast = sorted((e.r, e.u) for e in elements_of_norm(f, M))
-                slow = sorted((e.r, e.u) for e in enumerate_norm(f, M))
-                assert fast == slow, (f.q, M)
-                assert len(fast) == len(set(fast))
+                agree(f, M)
+        for f in all_fields():
+            # three or more split primes, squares and cubes, one above 700,
+            # next to the ramified prime and an inert square
+            split = [p for p in range(2, 2000) if is_probable_prime(p) and chi(f, p) == 1]
+            inert = next(p for p in range(2, 100) if is_probable_prime(p) and chi(f, p) == -1)
+            p1, p2, p3 = split[:3]
+            big = next(p for p in split if p > 700)
+            for M in (p1 * p2 * p3, p1 ** 2 * p2 * big, p1 ** 3 * p2 ** 2 * big,
+                      f.ramified_prime * inert ** 2 * p1 * p2 * big):
+                assert sum(1 for p, _ in factorize(M) if chi(f, p) == 1) >= 3
+                agree(f, M)
+
+    def test_composition_order(self):
+        # units outer, composed base inner: v_k and weyl_profile sum in this order
+        assert [(e.u, e.r) for e in elements_of_norm(field(3), 91)] == [
+            (11, -6), (10, -1), (9, 1), (5, 6), (6, 5), (1, 9), (-1, 10), (-6, 11),
+            (-5, 11), (-9, 10), (-10, 9), (-11, 5), (-11, 6), (-10, 1), (-9, -1),
+            (-5, -6), (-6, -5), (-1, -9), (1, -10), (6, -11), (5, -11), (9, -10),
+            (10, -9), (11, -5)]
 
 
 class TestBIndicator:
@@ -317,6 +389,13 @@ class TestRStar:
                 assert len(direct) == r_star(f, M), (f.q, M)
                 assert sorted((a.r, a.u) for a in direct) == \
                     sorted((a.r, a.u) for a in restricted_elements(f, M))
+
+    def test_restricted_angles_are_element_angles(self):
+        # bit-equal, in element order, including norms with an inert square
+        for f in all_fields():
+            for M in list(range(1, 300)) + [f.q * 4 * 9 * 25 * 49]:
+                assert restricted_angles(f, M) == \
+                    [a.angle() for a in restricted_elements(f, M)], (f.q, M)
 
     def test_closed_form_mismatch_raises(self, monkeypatch):
         # an IdentityError, not an assert, so the check survives python -O
