@@ -166,11 +166,9 @@ def kronecker(a: int, n: int) -> int:
 
 def chi(fld: Discriminant, n: int) -> int:
     """The real character of the field: +1 split, -1 inert, 0 ramified.
-    -q is a fundamental discriminant, so a table modulo chi_period is exact on n > 0."""
-    if n > 0:
-        tbl = _CHI_TABLES[fld.q]
-        return tbl[n % len(tbl)]
-    return kronecker(-fld.q, n)
+    -q is a fundamental discriminant, so (-q / n) is periodic modulo chi_period
+    on all integers n and a table lookup is exact."""
+    return _CHI_TABLES[fld.q][n % chi_period(fld)]
 
 
 def chi_period(fld: Discriminant) -> int:
@@ -547,7 +545,7 @@ def r_star(fld: Discriminant, M: int) -> int:
     hit = _r_star_cache.get(key)
     if hit is not None:
         return hit
-    direct = len(restricted_angles(fld, M))
+    direct = len(_restricted_coords(fld, M, None))
     rc = r_count(fld, M)
     closed = rc if gcd(M, fld.q) > 1 else rc // 2
     if direct != closed:
