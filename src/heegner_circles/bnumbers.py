@@ -247,25 +247,6 @@ def _check_progression(spec: ProgressionSpec, terms: int = 100) -> None:
 
 
 @dataclass(frozen=True)
-class SieveWindow:
-    """The inert primes below z (support of the sifting product)."""
-
-    z: float
-    primes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        assert all(p < self.z for p in self.primes)
-
-
-def sieve_window(fld: Discriminant, z: float) -> SieveWindow:
-    if z <= 2:
-        raise ValueError("z > 2 required")
-    ps = tuple(int(p) for p in _primes_up_to(int(math.ceil(z)))
-               if p < z and chi(fld, int(p)) == -1)
-    return SieveWindow(z, ps)
-
-
-@dataclass(frozen=True)
 class SiftedDecomposition:
     sifted: int            # terms with no inert prime below z
     all_split: int         # terms with no inert prime at all

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import gcd, isqrt
 
 import numpy as np
@@ -24,9 +25,8 @@ import numpy as np
 from .bnumbers import norm_indicator_array
 from .halfplane import (UnimodularMatrix, arithmetic_radius, congruence_holds,
                         coords_from_split, matrix_from_split, _radius16)
-from .quadfield import (AlgebraicInt, Discriminant, IdentityError, r_count,
-                        _element_coords, _ext_gcd)
-from .quadfield import factorize  # unused; bench/test_bench.py asserts it is bound here
+from .quadfield import (AlgebraicInt, Discriminant, IdentityError, factorize,
+                        r_count_from_factors, _element_coords, _ext_gcd)
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,24 @@ class Radius:
     def norm_product(self) -> int:
         """n_plus * n_minus = n^2 - 4 lambda^4, the point-set norm."""
         return self.n_plus * self.n_minus
+
+    @cached_property
+    def factors(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """(factorize(n_minus), factorize(n_plus)), computed once."""
+        return factorize(self.n_minus), factorize(self.n_plus)
+
+    @cached_property
+    def norm_factors(self) -> list[tuple[int, int]]:
+        """The two factor lists merged, ascending: factorize(norm_product)."""
+        merged: dict[int, int] = {}
+        for p, e in self.factors[0] + self.factors[1]:
+            merged[p] = merged.get(p, 0) + e
+        return sorted(merged.items())
+
+    @cached_property
+    def pairs(self) -> list[SplitPair]:
+        """enumerate_pairs(self), computed once."""
+        return enumerate_pairs(self)
 
 
 @dataclass(frozen=True)
@@ -133,9 +151,10 @@ def enumerate_pairs(radius: Radius) -> list[SplitPair]:
     if radius.two_n <= radius.field.q:
         raise ValueError("two_n = q is the circle centre; no pairs")
     fld = radius.field
-    seconds = _element_coords(fld, radius.n_minus)
+    f_minus, f_plus = radius.factors
+    seconds = _element_coords(fld, radius.n_minus, f_minus)
     seen = set()
-    for u, r in _element_coords(fld, radius.n_plus):
+    for u, r in _element_coords(fld, radius.n_plus, f_plus):
         for t, s in seconds:
             if congruence_holds(fld, r, u, s, t):
                 seen.add(_canonical_rust((r, u, s, t)))
@@ -177,22 +196,28 @@ def lattice_points(radius: Radius) -> list[CirclePoint]:
     unit_count/2 times, and the point count must equal
     (c4/2) * r_count(n_plus * n_minus); either failure raises IdentityError.
     """
-    fld = radius.field
-    if radius.two_n <= fld.q:
+    if radius.two_n <= radius.field.q:
         raise ValueError("two_n = q is the circle centre; no points")
-    hits: dict[tuple[int, int], int] = {}
-    for p in enumerate_pairs(radius):
-        hy = coords_from_split(fld, *p.rust)
-        hits[hy] = hits.get(hy, 0) + 1
+    return [CirclePoint(h, Y, radius.field, radius.two_n)
+            for (h, Y) in sorted(_pairs_by_point(radius))]
+
+
+def _pairs_by_point(radius: Radius) -> dict[tuple[int, int], list[SplitPair]]:
+    """radius.pairs grouped by their point (h, Y), pair order kept; checked
+    as lattice_points documents."""
+    fld = radius.field
+    groups: dict[tuple[int, int], list[SplitPair]] = {}
+    for p in radius.pairs:
+        groups.setdefault(coords_from_split(fld, *p.rust), []).append(p)
     mult = fld.unit_count // 2
-    if any(c != mult for c in hits.values()):
+    if any(len(ps) != mult for ps in groups.values()):
         raise IdentityError(f"q={fld.q} two_n={radius.two_n}: a point is not hit "
                             f"{mult} times by the pairs")
-    expected2 = radius.c4 * r_count(fld, radius.norm_product)
-    if 2 * len(hits) != expected2:
-        raise IdentityError(f"q={fld.q} two_n={radius.two_n}: {len(hits)} points, "
+    expected2 = radius.c4 * r_count_from_factors(fld, radius.norm_factors)
+    if 2 * len(groups) != expected2:
+        raise IdentityError(f"q={fld.q} two_n={radius.two_n}: {len(groups)} points, "
                             f"(c4/2) r(n_plus n_minus) = {expected2 / 2}")
-    return [CirclePoint(h, Y, fld, radius.two_n) for (h, Y) in sorted(hits)]
+    return groups
 
 
 def angles(radius: Radius) -> list[float]:

@@ -129,12 +129,9 @@ def _verify_field(fld: Discriminant, max_two_n: int, report: list[str]) -> str |
         if tn > q and tn not in seen_two_n and ms:
             return f"radius-set q={q} two_n={tn} missing from radii_up_to"
     for radius in radii:
-        pairs = circles.enumerate_pairs(radius)
-        g4 = radius.c4 * quadfield.r_count(fld, radius.n_minus) \
-            * quadfield.r_count(fld, radius.n_plus)
-        if g4 % 4 or len(pairs) != g4 // 4:
+        if len(radius.pairs) != equidist.gamma_count(radius):
             return f"pair-count-formula q={q} two_n={radius.two_n}"
-        mats2 = circles.pairs_to_matrices(radius, pairs)
+        mats2 = circles.pairs_to_matrices(radius, radius.pairs)
         if mats2 != oracle.get(radius.two_n, []):
             return f"oracle-equivalence q={q} two_n={radius.two_n}"
         pts = circles.lattice_points(radius)
@@ -154,15 +151,14 @@ def _verify_field(fld: Discriminant, max_two_n: int, report: list[str]) -> str |
         m1, m2 = rng.choice(norms), rng.choice(norms)
         if math.gcd(m1, m2) != 1:
             continue
-        for k in range(1, 9):
-            lhs = quadfield.v_k(fld, m1 * m2, k)
-            rhs = quadfield.v_k(fld, m1, k) * quadfield.v_k(fld, m2, k)
-            if abs(lhs - rhs) > 1e-9:
+        profiles = [quadfield.weyl_profile(fld, M, 8) for M in (m1 * m2, m1, m2)]
+        for k, (lhs, v1, v2) in enumerate(zip(*profiles), start=1):
+            if abs(lhs - v1 * v2) > 1e-9:
                 return f"vk-multiplicativity q={q} M1={m1} M2={m2} k={k}"
     p0 = fld.ramified_prime
-    for k in range(1, 9):
-        vals = {round(quadfield.v_k(fld, p0 ** a, k), 12) for a in (1, 2, 3)}
-        if len(vals) != 1:
+    profiles = [quadfield.weyl_profile(fld, p0 ** a, 8) for a in (1, 2, 3)]
+    for k, vals in enumerate(zip(*profiles), start=1):
+        if len({round(v, 12) for v in vals}) != 1:
             return f"vk-ramified-stability q={q} k={k}"
     report.append(f"q={q}: v_k multiplicativity + ramified stability ok")
 
@@ -224,20 +220,13 @@ def cmd_circle(args) -> int:
             notes.append(f"two_n={two_n} at or below the centre: empty circle")
             continue
         radius = Radius(fld, two_n)
-        if not (quadfield.b_indicator(fld, radius.n_plus)
-                and quadfield.b_indicator(fld, radius.n_minus)):
+        if not radius.pairs:   # empty exactly when n_plus or n_minus is not a norm
             notes.append(f"two_n={two_n} is not a realized radius: empty circle")
             continue
-        pairs = circles.enumerate_pairs(radius)
-        pts = circles.lattice_points(radius)
-        by_hy = {}
-        for p in pairs:
-            m = halfplane.matrix_from_split(fld, *p.rust)
-            hy = halfplane.coords_from_split(fld, *p.rust)
-            by_hy.setdefault(hy, []).append((p, m))
-        for pt in pts:
-            for p, m in by_hy[(pt.h, pt.Y)]:
-                a, b, c, d = m.entries()
+        by_hy = circles._pairs_by_point(radius)
+        for pt in circles.lattice_points(radius):
+            for p in by_hy[(pt.h, pt.Y)]:
+                a, b, c, d = halfplane.matrix_from_split(fld, *p.rust).entries()
                 r, u, s, t = p.rust
                 rows.append([two_n, pt.h, pt.Y, f"{pt.display_angle():.12f}",
                              a, b, c, d, r, u, s, t])
@@ -424,7 +413,7 @@ def cmd_plot(args) -> int:
         parts.append(f'<circle cx="{_fmt(HW / 2 + zq.real * SC)}" cy="{_fmt(HH - cy * SC)}" '
                      f'r="{_fmt(rad * SC)}" fill="none" stroke="{color}" '
                      f'stroke-width="1" class="geodesic-circle"/>\n')
-        mats = circles.pairs_to_matrices(radius, circles.enumerate_pairs(radius))
+        mats = circles.pairs_to_matrices(radius, radius.pairs)
         seen = set()
         for g in mats:
             w = halfplane.apply_mobius(g, zq)

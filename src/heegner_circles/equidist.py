@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .circles import Radius, brute_force_by_radius, radii_up_to, stabilizer_size
-from .quadfield import (Discriminant, IdentityError, chi, factorize, r_count,
+from .quadfield import (Discriminant, IdentityError, chi, factorize,
                         r_count_from_factors, restricted_angles, v_k,
-                        weyl_profile)
+                        _weyl_sums)
 
 #: Exponent from the equidistribution rate: log(pi/2)/log 2.
 RATE_EXPONENT = math.log(math.pi / 2) / math.log(2)
@@ -90,8 +90,13 @@ def et_bound(fld: Discriminant, radius: Radius, K: int | None = None) -> float:
         K = default_harmonic_cutoff(radius.two_n)
     if K < 1:
         raise ValueError("K >= 1 required")
-    prof = weyl_profile(fld, radius.norm_product, K)
+    prof = _weyl_sums(_radius_angles(radius), K)
     return 1.0 / (K + 1) + 3.0 * sum(v / k for k, v in enumerate(prof, start=1))
+
+
+def _radius_angles(radius: Radius) -> list[float]:
+    """restricted_angles of the radius's norm, from its own factor lists."""
+    return restricted_angles(radius.field, radius.norm_product, radius.norm_factors)
 
 
 @dataclass(frozen=True)
@@ -112,17 +117,18 @@ class DiscrepancyReport:
 def gamma_count(radius: Radius) -> int:
     """|matrices of this radius| = (c4/4) r(n_minus) r(n_plus), exact."""
     fld = radius.field
-    g4 = radius.c4 * r_count(fld, radius.n_minus) * r_count(fld, radius.n_plus)
-    assert g4 % 4 == 0
+    f_minus, f_plus = radius.factors
+    g4 = radius.c4 * r_count_from_factors(fld, f_minus) * r_count_from_factors(fld, f_plus)
+    if g4 % 4:
+        raise IdentityError(f"q={fld.q} two_n={radius.two_n}: c4 r(n_minus) r(n_plus) "
+                            f"= {g4} is not divisible by 4")
     return g4 // 4
 
 
 def discrepancy_report(radius: Radius, K: int | None = None) -> DiscrepancyReport:
-    fld = radius.field
-    angs = sorted(a % (2 * math.pi) for a in restricted_angles(fld, radius.norm_product))
-    d = circle_discrepancy(angs)
-    return DiscrepancyReport(radius.two_n, len(angs), d,
-                             et_bound(fld, radius, K), gamma_count(radius))
+    angs = sorted(a % (2 * math.pi) for a in _radius_angles(radius))
+    return DiscrepancyReport(radius.two_n, len(angs), circle_discrepancy(angs),
+                             et_bound(radius.field, radius, K), gamma_count(radius))
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +161,11 @@ class SurveySummary:
 
 
 def _survey_row(radius: Radius) -> SurveyRow:
-    fld, two_n, q = radius.field, radius.two_n, radius.field.q
-    f1, f2 = factorize(radius.n_plus), factorize(radius.n_minus)
-    merged: dict[int, int] = {}
-    for p, e in f1 + f2:
-        merged[p] = merged.get(p, 0) + e
-    factors = sorted(merged.items())
-    om = sum(1 for p, _ in factors if chi(fld, p) == 1)
-    Om = sum(e for p, e in factors if chi(fld, p) == 1)
-    angs = sorted(a % (2 * math.pi) for a in restricted_angles(fld, radius.norm_product, factors))
-    d = circle_discrepancy(angs)
-    g4 = radius.c4 * r_count_from_factors(fld, f2) * r_count_from_factors(fld, f1)
-    if q % 2 == 1:
-        flat = gcd(two_n, q) == 1
-    else:
-        flat = gcd(two_n // 2, q) == 1
-    return SurveyRow(two_n, om, Om, flat, math.log2(len(angs)),
-                     len(angs), g4 // 4, d)
+    split = [e for p, e in radius.norm_factors if chi(radius.field, p) == 1]
+    angs = sorted(a % (2 * math.pi) for a in _radius_angles(radius))
+    return SurveyRow(radius.two_n, len(split), sum(split), not in_sharp_set(radius),
+                     math.log2(len(angs)), len(angs), gamma_count(radius),
+                     circle_discrepancy(angs))
 
 
 def _quantiles(vals: list[float]) -> tuple[float, float, float]:
@@ -337,10 +331,10 @@ def matrix_angle_discrepancy(radius: Radius) -> float:
     leaves the discrepancy unchanged.  The suite asserts agreement with the
     point-side value.
     """
-    from .circles import enumerate_pairs, pairs_to_matrices
+    from .circles import pairs_to_matrices
     from .halfplane import apply_mobius, disc_map
     fld = radius.field
-    mats = pairs_to_matrices(radius, enumerate_pairs(radius))
+    mats = pairs_to_matrices(radius, radius.pairs)
     angs = sorted(
         math.atan2(w.imag, w.real) % (2 * math.pi)
         for w in (disc_map(fld, apply_mobius(g, fld.z)) for g in mats))

@@ -347,10 +347,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Representation counts and element enumeration
 
-_r_count_cache: dict[tuple[int, int], int] = {}
-_R_COUNT_CACHE_MAX = 1 << 20
-
-
 def r_count_from_factors(fld: Discriminant, factors: list[tuple[int, int]]) -> int:
     """unit_count * sum of chi over divisors, from a factorization."""
     tot = 1
@@ -367,14 +363,7 @@ def r_count(fld: Discriminant, M: int) -> int:
     """Number of algebraic integers of norm M (M >= 1)."""
     if M < 1:
         raise ValueError("r_count expects M >= 1")
-    key = (fld.q, M)
-    hit = _r_count_cache.get(key)
-    if hit is not None:
-        return hit
-    val = r_count_from_factors(fld, factorize(M))
-    if len(_r_count_cache) < _R_COUNT_CACHE_MAX:
-        _r_count_cache[key] = val
-    return val
+    return r_count_from_factors(fld, factorize(M))
 
 
 def enumerate_norm(fld: Discriminant, M: int) -> list[AlgebraicInt]:
@@ -460,10 +449,9 @@ def _element_coords(fld: Discriminant, M: int,
             for uu, ur in _UNIT_COORDS[fld.unit_count] for bu, br in base]
 
 
-def elements_of_norm(fld: Discriminant, M: int,
-                     factors: list[tuple[int, int]] | None = None) -> list[AlgebraicInt]:
+def elements_of_norm(fld: Discriminant, M: int) -> list[AlgebraicInt]:
     """All elements of norm M, in the order of _element_coords."""
-    return [AlgebraicInt(u, r, fld) for u, r in _element_coords(fld, M, factors)]
+    return [AlgebraicInt(u, r, fld) for u, r in _element_coords(fld, M)]
 
 
 def b_indicator(fld: Discriminant, n: int) -> bool:
@@ -517,10 +505,9 @@ def _restricted_coords(fld: Discriminant, M: int,
     return [(u, r) for u, r in els if (2 * u + tm * r - m2) % q == 0]
 
 
-def restricted_elements(fld: Discriminant, M: int,
-                        factors: list[tuple[int, int]] | None = None) -> list[AlgebraicInt]:
+def restricted_elements(fld: Discriminant, M: int) -> list[AlgebraicInt]:
     """Elements of norm M satisfying 2*Re = 2m (mod q)."""
-    return [AlgebraicInt(u, r, fld) for u, r in _restricted_coords(fld, M, factors)]
+    return [AlgebraicInt(u, r, fld) for u, r in _restricted_coords(fld, M, None)]
 
 
 def restricted_angles(fld: Discriminant, M: int,
@@ -528,9 +515,6 @@ def restricted_angles(fld: Discriminant, M: int,
     """AlgebraicInt.angle() of each restricted element, in element order."""
     sq, tm = math.sqrt(fld.q), fld.two_mu
     return [math.atan2(r * sq, 2 * u + tm * r) for u, r in _restricted_coords(fld, M, factors)]
-
-
-_r_star_cache: dict[tuple[int, int], int] = {}
 
 
 def r_star(fld: Discriminant, M: int) -> int:
@@ -541,18 +525,12 @@ def r_star(fld: Discriminant, M: int) -> int:
     """
     if M < 1:
         raise ValueError("r_star expects M >= 1")
-    key = (fld.q, M)
-    hit = _r_star_cache.get(key)
-    if hit is not None:
-        return hit
     direct = len(_restricted_coords(fld, M, None))
     rc = r_count(fld, M)
     closed = rc if gcd(M, fld.q) > 1 else rc // 2
     if direct != closed:
         raise IdentityError(f"r_star q={fld.q} M={M}: {direct} restricted elements, "
                             f"closed form {closed}")
-    if len(_r_star_cache) < _R_COUNT_CACHE_MAX:
-        _r_star_cache[key] = direct
     return direct
 
 
@@ -575,7 +553,11 @@ def v_k(fld: Discriminant, M: int, k: int) -> float:
 
 def weyl_profile(fld: Discriminant, M: int, K: int) -> list[float]:
     """[v_1(M), ..., v_K(M)] from a single element enumeration."""
-    angs = restricted_angles(fld, M)
+    return _weyl_sums(restricted_angles(fld, M), K)
+
+
+def _weyl_sums(angs: list[float], K: int) -> list[float]:
+    """[v_1, ..., v_K] of restricted-element angles given in element order."""
     if not angs:
         return [0.0] * K
     phases = [cmath.exp(1j * a) for a in angs]

@@ -8,7 +8,7 @@ from heegner_circles import bnumbers
 from heegner_circles.bnumbers import (Classification, SiftedDecomposition,
                                       _sift, build_progression, b_star_count,
                                       classify, norm_indicator_array,
-                                      shifted_count, sieve_window, sifted_count,
+                                      shifted_count, sifted_count,
                                       sifted_decomposition)
 from heegner_circles.quadfield import (IdentityError, all_fields, b_indicator,
                                        chi, factorize, field)
@@ -171,16 +171,6 @@ class TestBStarCount:
         x = sp.n1 * y + sp.n0 + abs(sp.h_normalized)
         assert bstar <= shifted_count(f, x, sp.h_normalized if sp.h_normalized > 0
                                       else -sp.h_normalized)
-
-
-class TestSieveWindow:
-    def test_inert_support(self):
-        w = sieve_window(field(4), 25)
-        assert w.primes == (3, 7, 11, 19, 23)
-
-    def test_z_too_small(self):
-        with pytest.raises(ValueError):
-            sieve_window(field(4), 2)
 
 
 class TestSiftedCount:

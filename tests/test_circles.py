@@ -12,7 +12,7 @@ from heegner_circles.circles import (CirclePoint, Radius, angles,
                                      radii_up_to, stabilizer_size, weyl_angles)
 from heegner_circles.halfplane import arithmetic_radius, split_coordinates
 from heegner_circles.quadfield import (IdentityError, all_fields, b_indicator,
-                                       field, r_count, r_star, v_k)
+                                       factorize, field, r_count, r_star, v_k)
 
 
 def per_candidate_radii(f, lo_two_n, hi_two_n):
@@ -38,6 +38,19 @@ class TestRadius:
             Radius(field(3), 6)
         with pytest.raises(ValueError):
             Radius(field(4), 3)
+
+    @pytest.mark.parametrize("q", [f.q for f in all_fields()])
+    def test_factor_lists_match_factorize(self, q):
+        # every realized radius to two_n = 3000, plus realized radii near 4e6
+        # whose products lie above the SPF table (trial division + rho there)
+        f = field(q)
+        lo = 4_000_000 + q % 2
+        far = [Radius(f, tn) for tn in per_candidate_radii(f, lo, lo + 600)[:3]]
+        assert far and all(r.norm_product >= 1 << 21 for r in far)
+        for r in radii_up_to(f, 1500) + far:
+            assert r.factors == (factorize(r.n_minus), factorize(r.n_plus)), r.two_n
+            assert r.norm_factors == factorize(r.norm_product), r.two_n
+            assert r.factors is r.factors and r.norm_factors is r.norm_factors
 
     def test_centre_allowed_but_empty(self):
         r = Radius(field(3), 3)

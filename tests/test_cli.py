@@ -62,8 +62,8 @@ class TestVerify:
 
     def test_identity_error_becomes_fail_line(self, capsys, monkeypatch):
         # an off-by-one point count raises IdentityError inside lattice_points
-        monkeypatch.setattr(circles, "r_count",
-                            lambda fld, M: quadfield.r_count(fld, M) + 1)
+        monkeypatch.setattr(circles, "r_count_from_factors",
+                            lambda fld, fs: quadfield.r_count_from_factors(fld, fs) + 1)
         code, out = run(capsys, "verify", "--q", "3", "--max-two-n", "60")
         assert code == 1
         assert "\nFAIL identity q=3: " in out
@@ -142,14 +142,31 @@ class TestCircle:
         assert code == 2
 
     def test_identity_error_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(circles, "r_count",
-                            lambda fld, M: quadfield.r_count(fld, M) + 1)
+        monkeypatch.setattr(circles, "r_count_from_factors",
+                            lambda fld, fs: quadfield.r_count_from_factors(fld, fs) + 1)
         assert run(capsys, "circle", "--q", "11", "--two-n", "29")[0] == 1
 
     def test_input_caps(self, capsys):
         assert run(capsys, "circle", "--q", "3", "--two-n", str(10 ** 9 + 2))[0] == 2
         assert run(capsys, "circle", "--q", "3", "--two-n", "5",
                    "--k", str(10 ** 4 + 1))[0] == 2
+
+    def test_factorizes_each_radius_once(self, capsys, monkeypatch):
+        # n_minus and n_plus of each radius, never their product (>= 2^21 here)
+        calls = []
+        original = quadfield.factorize
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        for mod in (quadfield, circles, equidist, bnumbers):
+            monkeypatch.setattr(mod, "factorize", counted)
+        code, _ = run(capsys, "circle", "--q", "3", "--two-n", "4000931,4000949", "--k", "8")
+        assert code == 0
+        assert sorted(calls) == sorted(n for tn in (4000931, 4000949)
+                                       for n in ((tn - 3) // 2, (tn + 3) // 2))
+        assert max(calls) < 1 << 21
 
     def test_unrealized_radius_zero_rows(self, capsys):
         # q=3, two_n=7: n_plus=5 has chi(5) = -1 to odd order

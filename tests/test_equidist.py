@@ -204,6 +204,15 @@ class TestCircleProblemSum:
         assert sorted(calls) == sorted(n for r in radii for n in (r.n_minus, r.n_plus))
 
 
+class TestGammaCount:
+    def test_odd_r_count_raises(self, monkeypatch):
+        # an IdentityError, not an assert, so the check survives python -O
+        monkeypatch.setattr(equidist, "r_count_from_factors", lambda fld, fs: 3)
+        for tn in (5, 9):   # c4 = 1 and c4 = 2
+            with pytest.raises(IdentityError):
+                gamma_count(Radius(field(3), tn))
+
+
 class TestSurvey:
     def test_small_input(self):
         f = field(4)
@@ -237,6 +246,7 @@ class TestSurvey:
             assert abs(r.discrepancy - circle_discrepancy(angles(radius))) < 1e-12
             assert r.point_count == len(lattice_points(radius))
             assert r.gamma_count == gamma_count(radius)
+            assert r.in_B_flat == (math.gcd(r.two_n // (2 - q % 2), q) == 1)
 
     def test_rate_exponent_value(self):
         assert abs(RATE_EXPONENT - math.log(math.pi / 2) / math.log(2)) < 1e-15

@@ -399,7 +399,6 @@ class TestRStar:
 
     def test_closed_form_mismatch_raises(self, monkeypatch):
         # an IdentityError, not an assert, so the check survives python -O
-        monkeypatch.setattr(quadfield, "_r_star_cache", {})
         monkeypatch.setattr(quadfield, "r_count", lambda fld, M: r_count(fld, M) + 1)
         with pytest.raises(IdentityError):
             r_star(field(3), 21)   # gcd branch: closed form is r_count itself
