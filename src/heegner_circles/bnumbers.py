@@ -22,8 +22,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .quadfield import (Discriminant, IdentityError, b_indicator, chi,
-                        chi_period, chi_table, factorize, _ext_gcd,
-                        _primes_up_to)
+                        chi_period, chi_table, factorize, _primes_up_to)
 
 _SEGMENT = 1 << 20
 
@@ -174,14 +173,8 @@ class ProgressionSpec:
         return n, n // self.denominator, n + self.h_normalized
 
 
-def _is_square_mod(a: int, q: int) -> bool:
-    a %= q
-    return any((m * m - a) % q == 0 for m in range(q))
-
-
 def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    g, p, _ = _ext_gcd(m1, m2)
-    assert g == 1
+    p = pow(m1, -1, m2)
     return (r1 + (r2 - r1) * p % m2 * m1) % (m1 * m2)
 
 
@@ -203,10 +196,13 @@ def build_progression(fld: Discriminant, h: int) -> ProgressionSpec:
         h //= ram
     negated = False
     if q % 2 == 1:
-        if not _is_square_mod(h, q):
+        # q odd is prime, so chi is the Legendre symbol mod q
+        if chi(fld, h) == -1:
             h = -h
             negated = True
-        assert _is_square_mod(h, q)
+        if chi(fld, h) == -1:
+            raise IdentityError(f"q={q} h={h_orig}: neither sign of the shift "
+                                "is a square mod q")
         sigma = 1 if h % 2 else 0
         base_mod = q * q * abs(h)
         if sigma:
@@ -220,7 +216,9 @@ def build_progression(fld: Discriminant, h: int) -> ProgressionSpec:
         if not good(h):
             h = -h
             negated = True
-        assert good(h), (q, h_orig)
+        if not good(h):
+            raise IdentityError(f"q={q} h={h_orig}: neither sign of the shift "
+                                "has the required residue")
         sigma = 1
         n1 = 4 * q * q * abs(h)
         n0 = (4 * q) % n1

@@ -74,6 +74,24 @@ class Radius:
         """enumerate_pairs(self), computed once."""
         return enumerate_pairs(self)
 
+    @cached_property
+    def pairs_by_point(self) -> dict[tuple[int, int], list[SplitPair]]:
+        """pairs grouped by their point (h, Y), pair order kept; computed once
+        and checked as lattice_points documents."""
+        fld = self.field
+        groups: dict[tuple[int, int], list[SplitPair]] = {}
+        for p in self.pairs:
+            groups.setdefault(coords_from_split(fld, *p.rust), []).append(p)
+        mult = fld.unit_count // 2
+        if any(len(ps) != mult for ps in groups.values()):
+            raise IdentityError(f"q={fld.q} two_n={self.two_n}: a point is not hit "
+                                f"{mult} times by the pairs")
+        expected2 = self.c4 * r_count_from_factors(fld, self.norm_factors)
+        if 2 * len(groups) != expected2:
+            raise IdentityError(f"q={fld.q} two_n={self.two_n}: {len(groups)} points, "
+                                f"(c4/2) r(n_plus n_minus) = {expected2 / 2}")
+        return groups
+
 
 @dataclass(frozen=True)
 class CirclePoint:
@@ -119,15 +137,6 @@ class SplitPair:
         return (self.first.r, self.first.u, self.second.r, self.second.u)
 
 
-def _canonical_rust(v: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    for x in v:
-        if x > 0:
-            return v
-        if x < 0:
-            return (-v[0], -v[1], -v[2], -v[3])
-    return v
-
-
 def radii_up_to(fld: Discriminant, x: float) -> list[Radius]:
     """All radii with 2R <= 2x whose circle is nonempty, ascending.
 
@@ -153,13 +162,15 @@ def enumerate_pairs(radius: Radius) -> list[SplitPair]:
     fld = radius.field
     f_minus, f_plus = radius.factors
     seconds = _element_coords(fld, radius.n_minus, f_minus)
-    seen = set()
+    found = []
     for u, r in _element_coords(fld, radius.n_plus, f_plus):
+        if (r, u) < (0, 0):   # n_plus >= 1: (r, u) alone fixes the sign class
+            continue
         for t, s in seconds:
             if congruence_holds(fld, r, u, s, t):
-                seen.add(_canonical_rust((r, u, s, t)))
+                found.append((r, u, s, t))
     out = [SplitPair(AlgebraicInt(u, r, fld), AlgebraicInt(t, s, fld))
-           for (r, u, s, t) in sorted(seen)]
+           for (r, u, s, t) in sorted(found)]
     for p in out:
         if p.first.norm() != radius.n_plus or p.second.norm() != radius.n_minus:
             raise IdentityError(f"q={fld.q} two_n={radius.two_n}: pair {p.rust} "
@@ -199,25 +210,7 @@ def lattice_points(radius: Radius) -> list[CirclePoint]:
     if radius.two_n <= radius.field.q:
         raise ValueError("two_n = q is the circle centre; no points")
     return [CirclePoint(h, Y, radius.field, radius.two_n)
-            for (h, Y) in sorted(_pairs_by_point(radius))]
-
-
-def _pairs_by_point(radius: Radius) -> dict[tuple[int, int], list[SplitPair]]:
-    """radius.pairs grouped by their point (h, Y), pair order kept; checked
-    as lattice_points documents."""
-    fld = radius.field
-    groups: dict[tuple[int, int], list[SplitPair]] = {}
-    for p in radius.pairs:
-        groups.setdefault(coords_from_split(fld, *p.rust), []).append(p)
-    mult = fld.unit_count // 2
-    if any(len(ps) != mult for ps in groups.values()):
-        raise IdentityError(f"q={fld.q} two_n={radius.two_n}: a point is not hit "
-                            f"{mult} times by the pairs")
-    expected2 = radius.c4 * r_count_from_factors(fld, radius.norm_factors)
-    if 2 * len(groups) != expected2:
-        raise IdentityError(f"q={fld.q} two_n={radius.two_n}: {len(groups)} points, "
-                            f"(c4/2) r(n_plus n_minus) = {expected2 / 2}")
-    return groups
+            for (h, Y) in sorted(radius.pairs_by_point)]
 
 
 def angles(radius: Radius) -> list[float]:

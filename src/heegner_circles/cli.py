@@ -7,7 +7,6 @@ output.  Exit codes: 0 success, 1 a verified identity failed, 2 usage.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import random
@@ -35,15 +34,6 @@ def _emit(text: str, out: str | None) -> None:
             f.write(text)
 
 
-def _csv(schema: str, header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    buf.write(f"# schema: {schema} v{SCHEMA_VERSION}\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_cell(v) for v in row) + "\n")
-    return buf.getvalue()
-
-
 def _cell(v) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
@@ -52,12 +42,27 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _json_doc(command: str, q, rows: list[dict], extra: dict | None = None) -> str:
-    meta = {"q": q, "command": command, "version": SCHEMA_VERSION}
-    if extra:
-        meta.update(extra)
-    return json.dumps({"meta": meta, "rows": rows}, sort_keys=True,
-                      separators=(",", ":")) + "\n"
+def _emit_table(args, schema: str, q, header: list[str], rows: list[list],
+                meta: dict | None = None, trailer: list[str] | None = None) -> None:
+    """Write one table in args.format to args.out.
+
+    JSON: {"meta": {q, command, version, **meta}, "rows": [...]}.  CSV: the
+    schema comment, the header and the rows, then one "# " comment line per
+    trailer entry; the trailer defaults to meta as "key: value" lines.
+    """
+    meta = meta or {}
+    if args.format == "json":
+        doc = {"meta": {"q": q, "command": schema, "version": SCHEMA_VERSION, **meta},
+               "rows": [dict(zip(header, row)) for row in rows]}
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    else:
+        if trailer is None:
+            trailer = [f"{k}: {_cell(v)}" for k, v in meta.items()]
+        lines = [f"# schema: {schema} v{SCHEMA_VERSION}", ",".join(header)]
+        lines += [",".join(_cell(v) for v in row) for row in rows]
+        lines += [f"# {line}" for line in trailer]
+        text = "".join(line + "\n" for line in lines)
+    _emit(text, args.out)
 
 
 def _selected_fields(qflag: str) -> list[Discriminant]:
@@ -142,8 +147,7 @@ def _verify_field(fld: Discriminant, max_two_n: int, report: list[str]) -> str |
     report.append(f"q={q}: pair/matrix/point correspondences on {len(radii)} radii up to two_n={max_two_n} ok")
 
     for M in range(1, min(max_two_n * 4, 4000)):
-        if quadfield.b_indicator(fld, M):
-            quadfield.r_star(fld, M)   # raises IdentityError off the closed form
+        quadfield.r_star(fld, M)   # raises IdentityError off the closed form
     report.append(f"q={q}: restricted count closed form ok")
 
     norms = [M for M in range(1, 200) if quadfield.b_indicator(fld, M)]
@@ -163,9 +167,7 @@ def _verify_field(fld: Discriminant, max_two_n: int, report: list[str]) -> str |
     report.append(f"q={q}: v_k multiplicativity + ramified stability ok")
 
     for radius in radii[:min(len(radii), 40)]:
-        rep = equidist.discrepancy_report(radius)
-        if rep.discrepancy > rep.et_bound + 1e-12:
-            return f"erdos-turan q={q} two_n={radius.two_n}"
+        equidist.discrepancy_report(radius)   # raises IdentityError above the bound
         dm = equidist.matrix_angle_discrepancy(radius)
         if abs(dm - equidist.circle_discrepancy(sorted(circles.angles(radius)))) > 1e-9:
             return f"matrix-vs-point-discrepancy q={q} two_n={radius.two_n}"
@@ -180,8 +182,7 @@ def _verify_field(fld: Discriminant, max_two_n: int, report: list[str]) -> str |
 
 def cmd_verify(args) -> int:
     if args.max_two_n > 10 ** 4:
-        print("verify: --max-two-n capped at 10^4", file=sys.stderr)
-        return 2
+        raise ValueError("--max-two-n capped at 10^4")
     report: list[str] = []
     for fld in _selected_fields(args.q):
         try:
@@ -203,19 +204,15 @@ def cmd_verify(args) -> int:
 def cmd_circle(args) -> int:
     fld = field(int(args.q))
     if max(args.two_n, default=0) > 10 ** 9:
-        print("circle: --two-n capped at 10^9", file=sys.stderr)
-        return 2
+        raise ValueError("--two-n capped at 10^9")
     if args.k is not None and args.k > 10 ** 4:
-        print("circle: --k capped at 10^4", file=sys.stderr)
-        return 2
+        raise ValueError("--k capped at 10^4")
     notes = []
     rows = []
     bounds = []
     for two_n in args.two_n:
         if (two_n - fld.q) % 2:
-            print(f"circle: two_n={two_n} has wrong parity for q={fld.q}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"two_n={two_n} has wrong parity for q={fld.q}")
         if two_n <= fld.q:
             notes.append(f"two_n={two_n} at or below the centre: empty circle")
             continue
@@ -223,9 +220,8 @@ def cmd_circle(args) -> int:
         if not radius.pairs:   # empty exactly when n_plus or n_minus is not a norm
             notes.append(f"two_n={two_n} is not a realized radius: empty circle")
             continue
-        by_hy = circles._pairs_by_point(radius)
         for pt in circles.lattice_points(radius):
-            for p in by_hy[(pt.h, pt.Y)]:
+            for p in radius.pairs_by_point[(pt.h, pt.Y)]:
                 a, b, c, d = halfplane.matrix_from_split(fld, *p.rust).entries()
                 r, u, s, t = p.rust
                 rows.append([two_n, pt.h, pt.Y, f"{pt.display_angle():.12f}",
@@ -236,20 +232,13 @@ def cmd_circle(args) -> int:
                            "discrepancy": rep.discrepancy,
                            "et_bound": rep.et_bound})
     header = ["two_n", "h", "Y", "angle", "a", "b", "c", "d", "r", "u", "s", "t"]
-    if args.format == "json":
-        extra = {"two_n": args.two_n, "notes": notes}
-        if bounds:
-            extra["discrepancy_bounds"] = bounds
-        _emit(_json_doc("circle", fld.q,
-                        [dict(zip(header, row)) for row in rows], extra), args.out)
-    else:
-        text = _csv("circle", header, rows)
-        for note in notes:
-            text += f"# note: {note}\n"
-        for bd in bounds:
-            text += (f"# discrepancy two_n={bd['two_n']} K={bd['K']}: "
-                     f"{_cell(bd['discrepancy'])} <= et {_cell(bd['et_bound'])}\n")
-        _emit(text, args.out)
+    meta = {"two_n": args.two_n, "notes": notes}
+    if bounds:
+        meta["discrepancy_bounds"] = bounds
+    trailer = [f"note: {note}" for note in notes] + [
+        f"discrepancy two_n={bd['two_n']} K={bd['K']}: "
+        f"{_cell(bd['discrepancy'])} <= et {_cell(bd['et_bound'])}" for bd in bounds]
+    _emit_table(args, "circle", fld.q, header, rows, meta, trailer)
     return 0
 
 
@@ -258,8 +247,7 @@ def cmd_circle(args) -> int:
 
 def cmd_survey(args) -> int:
     if args.x > 10 ** 7:
-        print("survey: --x capped at 10^7", file=sys.stderr)
-        return 2
+        raise ValueError("--x capped at 10^7")
     fld = field(int(args.q))
     rows, summary = equidist.survey(fld, args.x)
     header = ["two_n", "omega", "Omega", "in_B_flat", "log2_r_star",
@@ -276,12 +264,7 @@ def cmd_survey(args) -> int:
         "frac_fast_eps02": summary.frac_fast_eps02,
         "degenerate": summary.degenerate,
     }
-    if args.format == "json":
-        _emit(_json_doc("survey", fld.q, [dict(zip(header, row)) for row in table], meta), args.out)
-    else:
-        text = _csv("survey", header, table)
-        text += "".join(f"# {k}: {_cell(v)}\n" for k, v in meta.items())
-        _emit(text, args.out)
+    _emit_table(args, "survey", fld.q, header, table, meta)
     return 0
 
 
@@ -290,18 +273,14 @@ def cmd_survey(args) -> int:
 
 def cmd_count(args) -> int:
     if args.x > 10 ** 6:
-        print("count: --x capped at 10^6", file=sys.stderr)
-        return 2
+        raise ValueError("--x capped at 10^6")
     fld = field(int(args.q))
     res = equidist.circle_problem_sum(fld, args.x)
     header = ["x", "sum", "convolution_part", "centre_term", "direct_count", "six_x"]
     row = [res.x, res.total, res.convolution_part, res.centre_term,
            res.direct_count if res.direct_count is not None else "",
            6 * res.x if fld.q == 3 else ""]
-    if args.format == "json":
-        _emit(_json_doc("count", fld.q, [dict(zip(header, row))]), args.out)
-    else:
-        _emit(_csv("count", header, [row]), args.out)
+    _emit_table(args, "count", fld.q, header, [row])
     return 0
 
 
@@ -310,8 +289,7 @@ def cmd_count(args) -> int:
 
 def cmd_bnumbers(args) -> int:
     if args.x > 10 ** 7:
-        print("bnumbers: --x capped at 10^7", file=sys.stderr)
-        return 2
+        raise ValueError("--x capped at 10^7")
     fld = field(int(args.q))
     if args.s is not None or args.z is not None:
         return _bnumbers_sieve_table(args, fld)
@@ -327,10 +305,7 @@ def cmd_bnumbers(args) -> int:
         b = bnumbers.shifted_count(fld, xv, args.h)
         rows.append([xv, args.h, b, b * math.log(xv) / xv])
     header = ["x", "h", "count", "count_logx_over_x"]
-    if args.format == "json":
-        _emit(_json_doc("bnumbers", fld.q, [dict(zip(header, r)) for r in rows]), args.out)
-    else:
-        _emit(_csv("bnumbers", header, rows), args.out)
+    _emit_table(args, "bnumbers", fld.q, header, rows)
     return 0
 
 
@@ -339,20 +314,17 @@ def _bnumbers_sieve_table(args, fld: Discriminant) -> int:
     the sifting cut z = y^(1/s) (or z directly)."""
     y = args.x
     if y < 1:
-        print("bnumbers: --x must be at least 1 in the sieve view", file=sys.stderr)
-        return 2
+        raise ValueError("--x must be at least 1 in the sieve view")
     spec = bnumbers.build_progression(fld, args.h)
     if args.z is not None:
         z = args.z
         if z <= 2:
-            print("bnumbers: --z must exceed 2", file=sys.stderr)
-            return 2
+            raise ValueError("--z must exceed 2")
         dec = bnumbers._sift(fld, spec, y, z)
         row = [y, z, dec.sifted, dec.all_split, "", ""]
     else:
         if args.s <= 1:
-            print("bnumbers: --s must exceed 1", file=sys.stderr)
-            return 2
+            raise ValueError("--s must exceed 1")
         dec = bnumbers.sifted_decomposition(fld, spec, y, args.s)
         z = y ** (1.0 / args.s)
         row = [y, z, dec.sifted, dec.all_split,
@@ -360,12 +332,7 @@ def _bnumbers_sieve_table(args, fld: Discriminant) -> int:
     header = ["y", "z", "sifted", "all_split", "two_large_inert", "four_large_inert"]
     meta = {"h": args.h, "h_normalized": spec.h_normalized,
             "n0": spec.n0, "n1": spec.n1, "sigma": spec.sigma}
-    if args.format == "json":
-        _emit(_json_doc("bnumbers-sieve", fld.q, [dict(zip(header, row))], meta), args.out)
-    else:
-        text = _csv("bnumbers-sieve", header, [row])
-        text += "".join(f"# {k}: {v}\n" for k, v in meta.items())
-        _emit(text, args.out)
+    _emit_table(args, "bnumbers-sieve", fld.q, header, [row], meta)
     return 0
 
 
@@ -385,13 +352,11 @@ def cmd_plot(args) -> int:
     fld = field(int(args.q))
     q = fld.q
     if max(args.two_n, default=0) > 10 ** 9:
-        print("plot: --two-n capped at 10^9", file=sys.stderr)
-        return 2
+        raise ValueError("--two-n capped at 10^9")
     radii = []
     for tn in args.two_n:
         if (tn - q) % 2 or tn <= q:
-            print(f"plot: invalid two_n={tn} for q={q}", file=sys.stderr)
-            return 2
+            raise ValueError(f"invalid two_n={tn} for q={q}")
         radii.append(Radius(fld, tn))
     # half-plane pane: 1000x500, x in [-5,5], y in [0,5], 100 px per unit
     HW, HH, SC = 1000, 500, 100.0

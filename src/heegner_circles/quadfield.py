@@ -525,8 +525,9 @@ def r_star(fld: Discriminant, M: int) -> int:
     """
     if M < 1:
         raise ValueError("r_star expects M >= 1")
-    direct = len(_restricted_coords(fld, M, None))
-    rc = r_count(fld, M)
+    factors = factorize(M)
+    direct = len(_restricted_coords(fld, M, factors))
+    rc = r_count_from_factors(fld, factors)
     closed = rc if gcd(M, fld.q) > 1 else rc // 2
     if direct != closed:
         raise IdentityError(f"r_star q={fld.q} M={M}: {direct} restricted elements, "

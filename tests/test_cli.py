@@ -313,14 +313,65 @@ GOLDEN_STDOUT = [
      "217845766af7579400785a77a8d003c91827584b9721c291a92c28b112dac500"),
     (["verify", "--q", "all", "--max-two-n", "200"],
      "5e111740fedc813771a9242c70d58b8a86e6f0b84e7014ac8d1fb6ae58f1f491"),
+    # notes (centre and unrealized radii) before the discrepancy lines
+    (["circle", "--q", "3", "--two-n", "3,5,7,13", "--k", "3"],
+     "e9e00f3c167d46ecb439d71d3e3845be95063fcdf624159d501dde0075a879c5"),
+    # JSON documents, recorded before the commands shared one table writer
+    (["survey", "--q", "7", "--x", "80", "--format", "json"],
+     "277cb1ac968aa16f44277554335a68be2ed406659b066b53b4e5344a8d58eb39"),
+    (["count", "--q", "3", "--x", "100", "--format", "json"],
+     "44250fa78e4c7ba4b11888345adf19a4fd318c00419a9eec079e470297181203"),
+    (["bnumbers", "--q", "4", "--x", "1000", "--h", "1", "--format", "json"],
+     "53f22fba03edc5da91e1ae05ee3a77df99dc7fee6f98c642b466bfc82be04149"),
+    (["bnumbers", "--q", "7", "--x", "300", "--h", "3", "--s", "2.5", "--format", "json"],
+     "14a756a8cc363cffe3b6caa7ad6866be54e70a991417f10c43ba3d7980654d76"),
+    (["bnumbers", "--q", "7", "--x", "300", "--h", "3", "--z", "50", "--format", "json"],
+     "941354259801227e5cddc5b371df9008871db4ec5458dd27713653b609d16d17"),
+    (["circle", "--q", "3", "--two-n", "3,5,7,13", "--k", "3", "--format", "json"],
+     "cd8031d881061f45628c271b5328c45c7f0b8134a8c9f0574e0957dfa3aa3a98"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
                          ids=["survey", "circle", "count", "bnumbers-z", "bnumbers-s",
                               "bnumbers-curve", "survey-q3-3000", "survey-q4-3000",
-                              "circle-4e6-k8", "verify-all-200"])
+                              "circle-4e6-k8", "verify-all-200", "circle-notes-k3",
+                              "survey-json", "count-json", "bnumbers-curve-json",
+                              "bnumbers-s-json", "bnumbers-z-json", "circle-notes-k3-json"])
 def test_golden_stdout(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# every usage error a command detects itself: one stderr line
+# "<command>: <message>", nothing on stdout, exit 2
+USAGE_ERRORS = [
+    (["verify", "--q", "3", "--max-two-n", "20000"], "verify: --max-two-n capped at 10^4"),
+    (["circle", "--q", "3", "--two-n", str(10 ** 9 + 2)], "circle: --two-n capped at 10^9"),
+    (["circle", "--q", "3", "--two-n", "5", "--k", str(10 ** 4 + 1)],
+     "circle: --k capped at 10^4"),
+    (["circle", "--q", "3", "--two-n", "5,6"], "circle: two_n=6 has wrong parity for q=3"),
+    (["survey", "--q", "3", "--x", "2e7"], "survey: --x capped at 10^7"),
+    (["count", "--q", "3", "--x", "2e6"], "count: --x capped at 10^6"),
+    (["bnumbers", "--q", "3", "--x", "2e7", "--h", "1"], "bnumbers: --x capped at 10^7"),
+    (["bnumbers", "--q", "3", "--x", "0.5", "--h", "1", "--s", "2.5"],
+     "bnumbers: --x must be at least 1 in the sieve view"),
+    (["bnumbers", "--q", "3", "--x", "100", "--h", "1", "--z", "2"],
+     "bnumbers: --z must exceed 2"),
+    (["bnumbers", "--q", "3", "--x", "100", "--h", "1", "--s", "1"],
+     "bnumbers: --s must exceed 1"),
+    (["plot", "--q", "11", "--two-n", f"29,{10 ** 9 + 1}"], "plot: --two-n capped at 10^9"),
+    (["plot", "--q", "11", "--two-n", "3"], "plot: invalid two_n=3 for q=11"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS,
+                         ids=["verify-cap", "circle-two-n-cap", "circle-k-cap",
+                              "circle-parity", "survey-cap", "count-cap", "bnumbers-cap",
+                              "sieve-x-below-1", "sieve-z", "sieve-s", "plot-cap",
+                              "plot-invalid"])
+def test_usage_error(capsys, argv, message):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", message + "\n")

@@ -399,7 +399,9 @@ class TestRStar:
 
     def test_closed_form_mismatch_raises(self, monkeypatch):
         # an IdentityError, not an assert, so the check survives python -O
-        monkeypatch.setattr(quadfield, "r_count", lambda fld, M: r_count(fld, M) + 1)
+        original = quadfield.r_count_from_factors
+        monkeypatch.setattr(quadfield, "r_count_from_factors",
+                            lambda fld, fs: original(fld, fs) + 1)
         with pytest.raises(IdentityError):
             r_star(field(3), 21)   # gcd branch: closed form is r_count itself
 
