@@ -21,8 +21,10 @@ from math import gcd, isqrt
 
 import numpy as np
 
+# read prime_table through the module: bench/tracer.py times its build there
+from . import quadfield
 from .quadfield import (Discriminant, IdentityError, b_indicator, chi,
-                        chi_period, chi_table, factorize, _primes_up_to)
+                        chi_period, chi_table, factorize)
 
 _SEGMENT = 1 << 20
 
@@ -111,7 +113,7 @@ def norm_indicator_array(fld: Discriminant, limit: int) -> np.ndarray:
     ram = fld.ramified_prime
     per = chi_period(fld)
     table = chi_table(fld)
-    small = _primes_up_to(isqrt(limit))
+    small = quadfield.prime_table(isqrt(limit))
     form = _LinearForm(1, 0, [ram, *small[table[small % per] == -1]], limit)
     ind = np.empty(limit + 1, dtype=bool)
     for lo in range(0, limit + 1, _SEGMENT):
@@ -285,7 +287,7 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
     if top > _SIFT_TOP_LIMIT:
         raise ValueError(f"top progression term n1*y + n0 + |h| = {top} "
                          f"exceeds the sieve cap 10^14")
-    primes = _primes_up_to(isqrt(top))
+    primes = quadfield.prime_table(isqrt(top))
     per = chi_period(fld)
     table = chi_table(fld)
     inert = set(primes[table[primes % per] == -1].tolist())

@@ -298,7 +298,7 @@ def cmd_bnumbers(args) -> int:
     while x <= args.x:
         xs.append(x)
         x *= 10
-    if not xs or xs[-1] != args.x:
+    if not xs or xs[-1] != int(args.x):
         xs.append(int(args.x))
     rows = []
     for xv in xs:
@@ -318,13 +318,15 @@ def _bnumbers_sieve_table(args, fld: Discriminant) -> int:
     spec = bnumbers.build_progression(fld, args.h)
     if args.z is not None:
         z = args.z
-        if z <= 2:
+        if not z > 2:   # NaN fails every comparison
             raise ValueError("--z must exceed 2")
         dec = bnumbers._sift(fld, spec, y, z)
         row = [y, z, dec.sifted, dec.all_split, "", ""]
     else:
-        if args.s <= 1:
+        if not args.s > 1:   # NaN fails every comparison
             raise ValueError("--s must exceed 1")
+        if math.isinf(args.s):
+            raise ValueError("--s must be finite")
         dec = bnumbers.sifted_decomposition(fld, spec, y, args.s)
         z = y ** (1.0 / args.s)
         row = [y, z, dec.sifted, dec.all_split,

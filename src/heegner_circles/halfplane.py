@@ -96,9 +96,8 @@ def integer_coords(fld: Discriminant, gamma: UnimodularMatrix) -> tuple[int, int
     two_n = arithmetic_radius(fld, gamma)
     ncd = AlgebraicInt(d, c, fld).norm()
     Y = two_n - fld.q * ncd
-    h2 = a * c * (fld.q + tm) + 4 * b * d + 2 * tm * (a * d + b * c) - 2 * tm * ncd
-    assert h2 % 2 == 0
-    return h2 // 2, Y
+    h = 2 * fld.z_norm * a * c + 2 * b * d + tm * (a * d + b * c) - tm * ncd
+    return h, Y
 
 
 def split_coordinates(fld: Discriminant, gamma: UnimodularMatrix) -> tuple[int, int, int, int]:
@@ -118,9 +117,7 @@ def coords_from_split(fld: Discriminant, r: int, u: int, s: int, t: int) -> tupl
     """(h, Y) from (r,u,s,t) via the product identity y + ix = (u+rz)(t+s z-bar)."""
     tm = fld.two_mu
     h = r * t - u * s
-    num = r * s * (fld.q + tm) + 4 * u * t + 2 * tm * (r * t + u * s)
-    assert num % 2 == 0
-    return h, num // 2
+    return h, 2 * fld.z_norm * r * s + 2 * u * t + tm * (r * t + u * s)
 
 
 def inverse_transform_matrix(fld: Discriminant) -> list[list[int]]:

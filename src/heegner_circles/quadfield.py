@@ -103,9 +103,8 @@ class AlgebraicInt:
     field: Discriminant
 
     def norm(self) -> int:
-        n4 = (2 * self.u + self.field.two_mu * self.r) ** 2 + self.field.q * self.r ** 2
-        assert n4 % 4 == 0
-        return n4 // 4
+        u, r, f = self.u, self.r, self.field
+        return u * u + f.two_mu * u * r + f.z_norm * r * r
 
     def conj(self) -> "AlgebraicInt":
         return AlgebraicInt(self.u + self.field.two_mu * self.r, -self.r, self.field)
@@ -185,8 +184,10 @@ def chi_table(fld: Discriminant) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Factorization: cached prime table + SPF table for small inputs,
-# deterministic Miller-Rabin / Pollard rho for large cofactors.
+# Factorization: a smallest-prime-factor (SPF) table below 2^21; above it,
+# Pollard rho splits n into parts until each part is below 2^21 (read off the
+# table) or passes the Miller-Rabin test, which is exact below psi_13.
+# prime_table serves the block sieves of bnumbers; factorize never reads it.
 
 _PRIME_TABLE_LIMIT = 10 ** 7
 _SPF_LIMIT = 1 << 21
@@ -195,15 +196,6 @@ _cache_lock = threading.Lock()
 _prime_table: np.ndarray | None = None
 _prime_table_bound = 0   # _prime_table holds every prime up to this
 _spf_table: np.ndarray | None = None
-
-
-def _primes_up_to(n: int) -> np.ndarray:
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -215,20 +207,25 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def prime_table(bound: int = _PRIME_TABLE_LIMIT) -> np.ndarray:
-    """The primes up to at least min(bound, 10^7).
+    """The primes up to min(bound, 10^7), ascending, as int64.
 
-    Sieved on first use only as far as asked, and sieved again, at least
-    twice as far and at most to 10^7, when a larger bound arrives.
+    Sieved to the largest bound asked for so far; a smaller bound reads a
+    prefix of that table.  The result is shared: do not write to it.
     """
     global _prime_table, _prime_table_bound
     bound = min(bound, _PRIME_TABLE_LIMIT)
-    if _prime_table_bound < bound:
+    if _prime_table is None or _prime_table_bound < bound:
         with _cache_lock:
-            if _prime_table_bound < bound:
-                grown = min(max(bound, 2 * _prime_table_bound), _PRIME_TABLE_LIMIT)
-                _prime_table = _primes_up_to(grown)
-                _prime_table_bound = grown
-    return _prime_table
+            if _prime_table is None or _prime_table_bound < bound:
+                sieve = np.ones(bound + 1, dtype=bool)
+                sieve[:2] = False
+                for p in range(2, isqrt(bound) + 1):
+                    if sieve[p]:
+                        sieve[p * p::p] = False
+                _prime_table = np.nonzero(sieve)[0].astype(np.int64)
+                _prime_table_bound = bound
+    tbl = _prime_table
+    return tbl[:np.searchsorted(tbl, bound, side="right")]
 
 
 def _spf() -> np.ndarray:
@@ -300,48 +297,45 @@ def _pollard_rho(n: int) -> int:
         c += 1
 
 
+def _spf_factors(n: int) -> list[tuple[int, int]]:
+    """factorize(n) for 1 <= n < 2^21, by the SPF table."""
+    spf = _spf()
+    out: list[tuple[int, int]] = []
+    while n > 1:
+        p = int(spf[n])
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending.
-    A cofactor above the prime table at or past psi_13 raises ValueError."""
+    """Prime factorization of 1 <= n < psi_13 as (prime, exponent) pairs,
+    ascending.  n >= psi_13, where the Miller-Rabin test that proves each
+    part prime is no longer exact, raises ValueError."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     if n < _SPF_LIMIT:
-        spf = _spf()
-        out: list[tuple[int, int]] = []
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        out.sort()
-        return out
-    out = []
-    for p in prime_table(isqrt(n)):
-        p = int(p)
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    if n > 1:
-        # cofactor beyond the table: split with rho until prime
-        stack = [n]
-        found: dict[int, int] = {}
-        while stack:
-            m = stack.pop()
-            if is_probable_prime(m):
-                found[m] = found.get(m, 0) + 1
-                continue
+        return _spf_factors(n)
+    if n >= _MR_LIMIT:
+        raise ValueError(f"factorize is exact only below {_MR_LIMIT}")
+    found: dict[int, int] = {}
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m < _SPF_LIMIT:
+            parts = _spf_factors(m)
+        elif is_probable_prime(m):
+            parts = [(m, 1)]
+        else:
             d = _pollard_rho(m)
             stack.extend((d, m // d))
-        out.extend(sorted(found.items()))
-    out.sort()
-    return out
+            continue
+        for p, e in parts:
+            found[p] = found.get(p, 0) + e
+    return sorted(found.items())
 
 
 # ---------------------------------------------------------------------------

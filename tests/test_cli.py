@@ -201,6 +201,22 @@ class TestSurveyCounts:
         lines = out.strip().splitlines()
         assert lines[-1].startswith("1000,1,")
 
+    @pytest.mark.parametrize("x,last", [("1000.5", "1000"), ("10000.7", "10000"),
+                                        ("2500.5", "2500")])
+    def test_bnumbers_fractional_x_prints_each_row_once(self, capsys, x, last):
+        code, out = run(capsys, "bnumbers", "--q", "4", "--x", x, "--h", "1")
+        xs = [line.split(",")[0] for line in out.strip().splitlines()[2:]]
+        assert code == 0
+        assert xs[-1] == last and len(xs) == len(set(xs))
+
+    def test_bnumbers_sieve_infinite_z_is_the_all_split_count(self, capsys):
+        code, out = run(capsys, "bnumbers", "--q", "3", "--x", "100", "--h", "1",
+                        "--z", "inf")
+        spec = bnumbers.build_progression(quadfield.field(3), 1)
+        all_split = bnumbers.b_star_count(quadfield.field(3), spec, 100)
+        assert code == 0
+        assert out.splitlines()[2] == f"100,inf,{all_split},{all_split},,"
+
     def test_out_of_range_caps(self, capsys):
         assert run(capsys, "survey", "--q", "3", "--x", "2e7")[0] == 2
         assert run(capsys, "count", "--q", "3", "--x", "2e6")[0] == 2
@@ -361,6 +377,16 @@ USAGE_ERRORS = [
      "bnumbers: --z must exceed 2"),
     (["bnumbers", "--q", "3", "--x", "100", "--h", "1", "--s", "1"],
      "bnumbers: --s must exceed 1"),
+    (["bnumbers", "--q", "3", "--x", "100", "--h", "1", "--z", "nan"],
+     "bnumbers: --z must exceed 2"),
+    (["bnumbers", "--q", "3", "--x", "100", "--h", "1", "--s", "nan"],
+     "bnumbers: --s must exceed 1"),
+    (["bnumbers", "--q", "3", "--x", "100", "--h", "1", "--s", "inf"],
+     "bnumbers: --s must be finite"),
+    # the progression check's term j = 24 has m1*m2 ~ 3.40e24, past psi_13,
+    # where factorize stops being exact
+    (["bnumbers", "--q", "7", "--x", "10", "--h", "1000000003", "--s", "2.5"],
+     "bnumbers: factorize is exact only below 3317044064679887385961981"),
     (["plot", "--q", "11", "--two-n", f"29,{10 ** 9 + 1}"], "plot: --two-n capped at 10^9"),
     (["plot", "--q", "11", "--two-n", "3"], "plot: invalid two_n=3 for q=11"),
 ]
@@ -369,7 +395,8 @@ USAGE_ERRORS = [
 @pytest.mark.parametrize("argv,message", USAGE_ERRORS,
                          ids=["verify-cap", "circle-two-n-cap", "circle-k-cap",
                               "circle-parity", "survey-cap", "count-cap", "bnumbers-cap",
-                              "sieve-x-below-1", "sieve-z", "sieve-s", "plot-cap",
+                              "sieve-x-below-1", "sieve-z", "sieve-s", "sieve-z-nan",
+                              "sieve-s-nan", "sieve-s-inf", "sieve-past-psi13", "plot-cap",
                               "plot-invalid"])
 def test_usage_error(capsys, argv, message):
     code = main(argv)

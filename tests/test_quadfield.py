@@ -4,7 +4,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import factorint, isprime, nextprime
+from sympy import factorint, isprime, nextprime, primerange
 from sympy.functions.combinatorial.numbers import kronecker_symbol
 
 from heegner_circles import quadfield
@@ -146,7 +146,7 @@ class TestFactorize:
             assert m == n
 
     def test_large_semiprime(self):
-        # beyond the SPF window: exercises table trial division + rho
+        # beyond the SPF window: exercises rho and Miller-Rabin
         p, q = 1000003, 10000019
         assert factorize(p * q) == [(p, 1), (q, 1)]
         big = 2 ** 61 - 1   # Mersenne prime
@@ -181,7 +181,7 @@ class TestFactorize:
     @given(st.integers(10 ** 7, 10 ** 9), st.integers(10 ** 7, 10 ** 9), st.integers(1, 1000))
     @settings(max_examples=8, deadline=None)
     def test_matches_sympy_factorint_in_rho_range(self, a, b, c):
-        # two prime factors above the 10^7 table: trial division leaves them to rho
+        # two prime factors above 10^7, split off by rho
         n = nextprime(a) * nextprime(b) * c
         assert factorize(n) == sorted(factorint(n).items())
 
@@ -195,20 +195,25 @@ class TestFactorize:
     def test_is_probable_prime_matches_sympy_isprime(self, n):
         assert is_probable_prime(n) == isprime(n)
 
-    def test_prime_table_grows_on_demand(self, monkeypatch):
-        # sieved only as far as sqrt(n) asks, regrown for a larger n, never past 10^7
+    @pytest.mark.parametrize("bounds", [(1000, 10 ** 5), (10 ** 5, 1000), (10 ** 8,)],
+                             ids=["grow", "prefix", "capped"])
+    def test_prime_table_is_exact(self, monkeypatch, bounds):
+        # the primes up to min(bound, 10^7), whatever was sieved before
+        monkeypatch.setattr(quadfield, "_prime_table", None)
+        monkeypatch.setattr(quadfield, "_prime_table_bound", 0)
+        for b in bounds:
+            assert quadfield.prime_table(b).tolist() == list(primerange(2, min(b, 10 ** 7) + 1))
+
+    def test_factorize_never_sieves_the_prime_table(self, monkeypatch):
         monkeypatch.setattr(quadfield, "_prime_table", None)
         monkeypatch.setattr(quadfield, "_prime_table_bound", 0)
         assert factorize(1000003 * 1000033) == [(1000003, 1), (1000033, 1)]
-        first = quadfield._prime_table
-        assert 1000003 <= quadfield._prime_table_bound < 2 * 1000033
-        assert first[-1] <= quadfield._prime_table_bound
-        assert factorize(3 * 1000003) == [(3, 1), (1000003, 1)]
-        assert quadfield._prime_table is first
-        big = 2 ** 61 - 1
-        assert factorize(3 * big) == [(3, 1), (big, 1)]
-        assert quadfield._prime_table_bound == 10 ** 7
-        assert quadfield._prime_table[-1] == 9999991
+        assert quadfield._prime_table is None
+
+    @pytest.mark.parametrize("n", [2 ** 82, 3 * 3317044064679887385961981], ids=["2^82", "3psi13"])
+    def test_rejects_psi13_and_above(self, n):
+        with pytest.raises(ValueError, match="exact only below"):
+            factorize(n)
 
 
 class TestRCount:
