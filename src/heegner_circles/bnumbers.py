@@ -64,7 +64,7 @@ class _LinearForm:
     def __init__(self, a: int, b: int, primes, top: int) -> None:
         if gcd(a, b) != 1:
             raise IdentityError(f"linear form {a}*j + {b} has a common factor")
-        self.a, self.b = a, b
+        self.a, self.b, self.top = a, b, top
         self.roots: list[tuple[int, list[tuple[int, int]]]] = []
         for p in primes:
             p = int(p)
@@ -98,6 +98,17 @@ class _LinearForm:
                 yield p, slices
 
 
+def _odd_exponent(odd: np.ndarray, slices: list[tuple[int, int]], n: int) -> None:
+    """Mark in odd the terms of a block of n that one prime divides to odd
+    order, from its hits slices [(first, p), (start, p^2), ...]: the parity
+    is 1 on each multiple of p and toggled by each higher power."""
+    first, p = slices[0]
+    parity = np.ones(len(range(first, n, p)), dtype=bool)
+    for start, pk in slices[1:]:
+        parity[(start - first) // p::pk // p] ^= True
+    odd[first::p] |= parity
+
+
 def norm_indicator_array(fld: Discriminant, limit: int) -> np.ndarray:
     """Boolean array ind[0..limit]: ind[n] iff n >= 1 is a norm value.
 
@@ -124,16 +135,54 @@ def norm_indicator_array(fld: Discriminant, limit: int) -> np.ndarray:
             if p == ram:
                 for start, pk in slices:
                     stripped[start::pk] //= p
-                continue
-            # parity of v_p on the multiples of p: 1 on each, toggled by p^2, p^3, ...
-            first = slices[0][0]
-            parity = np.ones(len(range(first, n, p)), dtype=bool)
-            for start, pk in slices[1:]:
-                parity[(start - first) // p::pk // p] ^= True
-            odd[first::p] |= parity
+            else:
+                _odd_exponent(odd, slices, n)
         ind[lo:lo + n] = ~odd & (table[stripped % per] != -1)
     ind[0] = False
     return ind
+
+
+def integers_form(top: int) -> _LinearForm:
+    """The form m = 1*j + 0 over every prime up to sqrt(top): it sieves any
+    block of integers m <= top completely, for r_count_array."""
+    return _LinearForm(1, 0, quadfield.prime_table(isqrt(top)), top)
+
+
+def r_count_array(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.ndarray:
+    """r(m), the number of algebraic integers of norm m, for m = lo, ...,
+    lo + n - 1 (lo >= 1), as int64; form is integers_form(top) with
+    top >= lo + n - 1.
+
+    r(m) = unit_count * prod over split p^e || m of (e + 1), and 0 when an
+    inert prime divides m to odd order.  Every prime p <= sqrt(top) is
+    divided out exactly; a split one multiplies its multiples by e + 1,
+    an inert one marks its odd exponents.  What is left of m is 1 or a
+    single prime c > sqrt(top), read by the character: split c gives
+    2 = 1 + chi(c), inert c gives 0, ramified c gives 1.
+    """
+    if lo < 1 or lo + n - 1 > form.top:
+        raise ValueError(f"r_count_array sieves 1 <= m <= {form.top}, "
+                         f"not m in [{lo}, {lo + n - 1}]")
+    per = chi_period(fld)
+    table = chi_table(fld)
+    rem = form.values(lo, n)
+    count = np.ones(n, dtype=np.int64)
+    odd = np.zeros(n, dtype=bool)
+    for p, slices in form.hits(lo, n):
+        for start, pk in slices:
+            rem[start::pk] //= p
+        c = table[p % per]
+        if c == 1:
+            # p's factor e + 1: 2 on its multiples, then k -> k + 1 on those of p^k
+            count[slices[0][0]::p] *= 2
+            for k, (start, pk) in enumerate(slices[1:], start=2):
+                count[start::pk] //= k
+                count[start::pk] *= k + 1
+        elif c == -1:
+            _odd_exponent(odd, slices, n)
+    count *= 1 + table[rem % per] * (rem > 1)
+    count[odd] = 0
+    return fld.unit_count * count
 
 
 def shifted_count(fld: Discriminant, x: float, h: int) -> int:
@@ -337,5 +386,8 @@ def sifted_count(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -
 
 def sifted_decomposition(fld: Discriminant, spec: ProgressionSpec,
                          y: float, s: float) -> SiftedDecomposition:
-    """Split the sifted count at z = y^(1/s) by the number of inert primes."""
+    """Split the sifted count at z = y^(1/s) by the number of inert primes;
+    the cut needs 1 < s < inf."""
+    if not 1 < s < math.inf:   # NaN fails every comparison
+        raise ValueError("1 < s < inf required")
     return _sift(fld, spec, y, y ** (1.0 / s))

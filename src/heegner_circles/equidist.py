@@ -9,13 +9,20 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
+from .bnumbers import integers_form, r_count_array
 from .circles import Radius, brute_force_by_radius, radii_up_to, stabilizer_size
+# factorize is not called here; bench/test_bench.py checks that the tracer
+# rewraps it in this namespace too
 from .quadfield import (Discriminant, IdentityError, chi, factorize,
                         r_count_from_factors, restricted_angles, v_k,
                         _weyl_sums)
 
 #: Exponent from the equidistribution rate: log(pi/2)/log 2.
 RATE_EXPONENT = math.log(math.pi / 2) / math.log(2)
+
+#: Integers m per block of the convolution sum's r(m) sieve.  At q = 163,
+#: x = 10^4 it runs as fast as 2^20 and keeps `count`'s peak RSS lower.
+_BLOCK = 1 << 18
 
 
 def circle_discrepancy(angles_sorted: list[float]) -> float:
@@ -283,20 +290,30 @@ def circle_problem_sum(fld: Discriminant, x: float,
                        compute_direct: bool | None = None) -> CircleSumResult:
     """Count matrices with cosh(distance) <= x as a sum of r_count products.
 
-    The convolution sum runs over two_n in (q, q*x]; the distance-zero
-    matrices (the stabilizer, unit_count/2 of them) are counted separately
-    since the sum's natural two_n = q term would need a norm-zero factor.
-    The per-radius summand is (c4/4) r(n_minus) r(n_plus), nonzero only on
-    the realized radii; the total times 4 is accumulated and checked
-    divisible.
+    The convolution sum runs over two_n = 2m + q in (q, q*x], that is over
+    n_minus = m >= 1 with n_plus = m + q; the distance-zero matrices (the
+    stabilizer, unit_count/2 of them) are counted separately since the
+    sum's natural two_n = q term would need a norm-zero factor.  The
+    summand is (c4/4) r(m) r(m + q), with c4 = 2 exactly when the ramified
+    prime divides m (q | two_n for odd q, 4 | two_n for even q) and 1
+    otherwise.  r comes off one block sieve: each block of m sieves
+    [lo, lo + n + q), so memory does not grow with x.  The total times 4
+    is accumulated and checked divisible.
     """
     if x < 1:
         raise ValueError("x >= 1 required")
     q = fld.q
     lim = int(math.floor(q * x + 1e-9))
-    tot4 = sum(r.c4 * r_count_from_factors(fld, factorize(r.n_minus))
-               * r_count_from_factors(fld, factorize(r.n_plus))
-               for r in radii_up_to(fld, lim / 2))
+    top = (lim - q) // 2   # the largest n_minus
+    ram = fld.ramified_prime
+    tot4 = 0
+    if top >= 1:
+        form = integers_form(top + q)
+        for lo in range(1, top + 1, _BLOCK):
+            n = min(_BLOCK, top + 1 - lo)
+            r = r_count_array(fld, form, lo, n + q)
+            prod = r[:n] * r[q:]
+            tot4 += int(prod.sum()) + int(prod[-lo % ram::ram].sum())
     if tot4 % 4:
         raise IdentityError(f"q={q} x={x}: 4 * convolution sum = {tot4} "
                             "is not divisible by 4")

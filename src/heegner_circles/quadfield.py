@@ -42,10 +42,12 @@ class Discriminant:
     def __post_init__(self) -> None:
         if self.q not in CLASS_NUMBER_ONE_Q:
             raise ValueError(f"q={self.q} is not a class-number-one discriminant")
-        assert (self.two_mu == 0) == (self.q in (4, 8))
-        if self.q % 2 == 1:
-            assert self.q % 4 == 3
-        assert self.unit_count == (6 if self.q == 3 else 4 if self.q == 4 else 2)
+        if (self.two_mu == 0) != (self.q in (4, 8)):
+            raise ValueError(f"q={self.q}: two_mu={self.two_mu}, expected "
+                             f"{0 if self.q in (4, 8) else 1}")
+        units = 6 if self.q == 3 else 4 if self.q == 4 else 2
+        if self.unit_count != units:
+            raise ValueError(f"q={self.q}: unit_count={self.unit_count}, expected {units}")
 
     @property
     def z_norm(self) -> int:
@@ -111,7 +113,8 @@ class AlgebraicInt:
 
     def __mul__(self, other: "AlgebraicInt") -> "AlgebraicInt":
         f = self.field
-        assert f is other.field or f == other.field
+        if f is not other.field and f != other.field:
+            raise ValueError(f"product of elements of q={f.q} and q={other.field.q}")
         return AlgebraicInt(*_mul((self.u, self.r), (other.u, other.r), f.z_norm, f.two_mu), f)
 
     @property
@@ -234,15 +237,19 @@ def _spf() -> np.ndarray:
     if tbl is None:
         with _cache_lock:
             if _spf_table is None:
+                # every n starts as its own factor; each prime p <= sqrt(limit)
+                # then claims its multiples from p^2 on, the largest prime
+                # first, so the smallest prime factor writes last
                 n = _SPF_LIMIT
-                spf = np.zeros(n + 1, dtype=np.int32)
-                for p in range(2, isqrt(n) + 1):
-                    if spf[p] == 0:
-                        s = spf[p * p::p]
-                        s[s == 0] = p
-                        spf[p * p::p] = s
-                rest = spf == 0
-                spf[rest] = np.arange(n + 1, dtype=np.int32)[rest]
+                root = isqrt(n)
+                sieve = np.ones(root + 1, dtype=bool)
+                sieve[:2] = False
+                for p in range(2, isqrt(root) + 1):
+                    if sieve[p]:
+                        sieve[p * p::p] = False
+                spf = np.arange(n + 1, dtype=np.int32)
+                for p in np.flatnonzero(sieve)[::-1].tolist():
+                    spf[p * p::p] = p
                 _spf_table = spf
             tbl = _spf_table
     return tbl

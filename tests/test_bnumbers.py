@@ -3,15 +3,20 @@ from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import factorint
+from sympy.functions.combinatorial.numbers import kronecker_symbol
 
-from heegner_circles import bnumbers
+from heegner_circles import bnumbers, equidist
 from heegner_circles.bnumbers import (Classification, SiftedDecomposition,
                                       _sift, build_progression, b_star_count,
-                                      classify, norm_indicator_array,
+                                      classify, integers_form,
+                                      norm_indicator_array, r_count_array,
                                       shifted_count, sifted_count,
                                       sifted_decomposition)
 from heegner_circles.quadfield import (IdentityError, all_fields, b_indicator,
-                                       chi, factorize, field)
+                                       chi, factorize, field, r_count)
 
 
 class TestClassify:
@@ -185,6 +190,12 @@ class TestSiftedCount:
         vals = [sifted_count(f, sp, 120, z) for z in (3.0, 10.0, 30.0, 100.0)]
         assert vals == sorted(vals, reverse=True)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan, 0.5, 1.0, -2.0])
+    def test_decomposition_rejects_cut_outside_one_to_inf(self, s):
+        f = field(3)
+        with pytest.raises(ValueError, match="1 < s < inf"):
+            sifted_decomposition(f, build_progression(f, 1), 100, s)
+
     def test_decomposition_small(self):
         f = field(3)
         sp = build_progression(f, 1)
@@ -255,3 +266,40 @@ class TestSift:
             _sift(f, sp, y, 50)
         with pytest.raises(ValueError, match="10\\^14"):
             _sift(f, sp, y + 1, 50)
+
+
+class TestRCountArray:
+    @pytest.mark.parametrize("q", [f.q for f in all_fields()])
+    def test_matches_r_count_across_block_seams(self, q):
+        # windows k*block +- (q + 300) around the convolution sum's seams
+        f = field(q)
+        half = q + 300
+        form = integers_form(2 * equidist._BLOCK + half)
+        for k in (1, 2):
+            lo = k * equidist._BLOCK - half
+            got = r_count_array(f, form, lo, 2 * half).tolist()
+            assert got == [r_count(f, m) for m in range(lo, lo + 2 * half)], k
+
+    @pytest.mark.parametrize("lo,n", [(0, 5), (7, 5)])
+    def test_rejects_m_outside_the_form(self, lo, n):
+        with pytest.raises(ValueError, match="sieves 1 <= m <= 10"):
+            r_count_array(field(3), integers_form(10), lo, n)
+
+    @given(st.sampled_from([f.q for f in all_fields()]), st.integers(1, 10 ** 9))
+    @example(4, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sympy_factorint(self, q, lo):
+        # r(m) = unit_count * prod (e + 1) over split p^e, 0 on an odd inert
+        # exponent, with factorint and sympy's Kronecker symbol as the oracle
+        f = field(q)
+        n = 64
+        got = r_count_array(f, integers_form(lo + n - 1), lo, n).tolist()
+        for m, r in zip(range(lo, lo + n), got):
+            want = f.unit_count
+            for p, e in factorint(m).items():
+                c = kronecker_symbol(-q, p)
+                if c == 1:
+                    want *= e + 1
+                elif c == -1 and e % 2:
+                    want = 0
+            assert r == want, m

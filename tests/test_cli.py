@@ -345,6 +345,10 @@ GOLDEN_STDOUT = [
      "941354259801227e5cddc5b371df9008871db4ec5458dd27713653b609d16d17"),
     (["circle", "--q", "3", "--two-n", "3,5,7,13", "--k", "3", "--format", "json"],
      "cd8031d881061f45628c271b5328c45c7f0b8134a8c9f0574e0957dfa3aa3a98"),
+    # the convolution sum over about 31 blocks of the r(m) sieve, recorded
+    # when count still factorized every realized radius
+    (["count", "--q", "163", "--x", "1e5"],
+     "d8499aa06694323cab06557d3ba606e3b8a0b5b4c82ed49e0a9bb0fe37f52451"),
 ]
 
 
@@ -353,7 +357,8 @@ GOLDEN_STDOUT = [
                               "bnumbers-curve", "survey-q3-3000", "survey-q4-3000",
                               "circle-4e6-k8", "verify-all-200", "circle-notes-k3",
                               "survey-json", "count-json", "bnumbers-curve-json",
-                              "bnumbers-s-json", "bnumbers-z-json", "circle-notes-k3-json"])
+                              "bnumbers-s-json", "bnumbers-z-json", "circle-notes-k3-json",
+                              "count-q163-1e5"])
 def test_golden_stdout(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0

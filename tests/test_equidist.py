@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import radii_within
-from heegner_circles import equidist
+from heegner_circles import equidist, quadfield
 from heegner_circles.circles import (Radius, angles, lattice_points,
                                      stabilizer_size)
 from heegner_circles.equidist import (RATE_EXPONENT, circle_discrepancy,
@@ -178,30 +182,62 @@ class TestCircleProblemSum:
         with pytest.raises(IdentityError):
             circle_problem_sum(field(3), 50)
 
-    @pytest.mark.parametrize("q", [3, 163])
-    def test_matches_per_candidate_sum(self, q):
+    def test_sum_not_divisible_by_four_raises(self, monkeypatch):
+        # an IdentityError, not an assert, so the check survives python -O;
+        # r = 1 everywhere gives 4 * sum = 13 + 4 at q = 3, x = 10
+        monkeypatch.setattr(equidist, "r_count_array",
+                            lambda fld, form, lo, n: np.ones(n, dtype=np.int64))
+        with pytest.raises(IdentityError, match="= 17 is not divisible by 4"):
+            circle_problem_sum(field(3), 10, compute_direct=False)
+
+    @pytest.mark.parametrize("q,x", [(3, 2000), (163, 2000), (163, 4000)],
+                             ids=["3", "163", "163-seam"])
+    def test_matches_per_candidate_sum(self, q, x):
         # the oracle walks every candidate two_n in (q, q x] and factorizes
-        # both norms; circle_problem_sum visits only the realized radii
+        # both norms; circle_problem_sum reads r off the block sieve.  At
+        # q = 163, x = 4000 the range of n_minus crosses the first block seam.
         f = field(q)
-        lim = int(math.floor(q * 2000 + 1e-9))
+        lim = int(math.floor(q * x + 1e-9))
         tot4 = 0
         for two_n in range(q + 2, lim + 1, 2):
             r1 = r_count_from_factors(f, factorize((two_n - q) // 2))
             if r1:
                 r2 = r_count_from_factors(f, factorize((two_n + q) // 2))
                 tot4 += Radius(f, two_n).c4 * r1 * r2
-        res = circle_problem_sum(f, 2000, compute_direct=False)
+        res = circle_problem_sum(f, x, compute_direct=False)
         assert res.convolution_part == tot4 // 4
         assert res.total == tot4 // 4 + stabilizer_size(f)
+        if x == 4000:
+            assert (lim - q) // 2 > equidist._BLOCK
 
-    def test_factorizes_realized_radii_only(self, monkeypatch):
+    @pytest.mark.parametrize("block", [97, 1000])
+    def test_block_length_does_not_change_the_sum(self, monkeypatch, block):
+        want = {f.q: circle_problem_sum(f, 300, compute_direct=False) for f in all_fields()}
+        monkeypatch.setattr(equidist, "_BLOCK", block)
+        for f in all_fields():
+            assert circle_problem_sum(f, 300, compute_direct=False) == want[f.q], f.q
+
+    def test_factorizes_nothing(self, monkeypatch):
         f = field(163)
-        calls = []
-        monkeypatch.setattr(equidist, "factorize",
-                            lambda n: calls.append(n) or factorize(n))
-        circle_problem_sum(f, 200, compute_direct=False)
-        radii = radii_within(f, 163 * 200 / 2)
-        assert sorted(calls) == sorted(n for r in radii for n in (r.n_minus, r.n_plus))
+        want = circle_problem_sum(f, 2000, compute_direct=False)
+
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(quadfield, "factorize", refuse)
+        monkeypatch.setattr(equidist, "factorize", refuse)
+        assert circle_problem_sum(f, 2000, compute_direct=False) == want
+
+    def test_builds_no_spf_table(self):
+        # in a fresh process: the count path never builds the 2^21 SPF table
+        src = os.path.dirname(os.path.dirname(quadfield.__file__))
+        prog = ("from heegner_circles import quadfield\n"
+                "from heegner_circles.equidist import circle_problem_sum\n"
+                "print(circle_problem_sum(quadfield.field(163), 1e4).total,"
+                " quadfield._spf_table is None)\n")
+        out = subprocess.run([sys.executable, "-c", prog], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "60042 True\n"
 
 
 class TestGammaCount:

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,12 +13,13 @@ from sympy.functions.combinatorial.numbers import kronecker_symbol
 
 from heegner_circles import quadfield
 from heegner_circles.quadfield import (CLASS_NUMBER_ONE_Q, AlgebraicInt,
-                                       IdentityError, all_fields, b_indicator,
-                                       chi, elements_of_norm, enumerate_norm,
-                                       factorize, field, is_probable_prime,
-                                       kronecker, omega_pair, r_count,
-                                       r_star, residue_m, restricted_angles,
-                                       restricted_elements, v_k, weyl_profile)
+                                       Discriminant, IdentityError, all_fields,
+                                       b_indicator, chi, elements_of_norm,
+                                       enumerate_norm, factorize, field,
+                                       is_probable_prime, kronecker, omega_pair,
+                                       r_count, r_star, residue_m,
+                                       restricted_angles, restricted_elements,
+                                       v_k, weyl_profile)
 
 QS = CLASS_NUMBER_ONE_Q
 
@@ -52,6 +57,28 @@ class TestField:
     def test_ramified_generator(self):
         for f in all_fields():
             assert f.ramified_generator().norm() == f.ramified_prime
+
+    @pytest.mark.parametrize("q,two_mu,units", [(4, 1, 4), (7, 0, 2), (3, 1, 2), (163, 1, 6)],
+                             ids=["q4-two-mu", "q7-two-mu", "q3-units", "q163-units"])
+    def test_inconsistent_constants_raise(self, q, two_mu, units):
+        with pytest.raises(ValueError, match=f"q={q}"):
+            Discriminant(q, two_mu, units)
+
+    def test_checks_run_under_python_O(self):
+        # ValueError, not assert: python -O (asserts stripped) still rejects
+        src = os.path.dirname(os.path.dirname(quadfield.__file__))
+        prog = ("from heegner_circles.quadfield import AlgebraicInt, Discriminant, field\n"
+                "for make in (lambda: Discriminant(4, 1, 4), lambda: Discriminant(3, 1, 2),\n"
+                "             lambda: AlgebraicInt(1, 1, field(3)) * AlgebraicInt(1, 1, field(7))):\n"
+                "    try:\n"
+                "        make()\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", prog], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines() == ["q=4: two_mu=1, expected 0",
+                                    "q=3: unit_count=2, expected 6",
+                                    "product of elements of q=3 and q=7"]
 
 
 class TestChi:
@@ -111,6 +138,11 @@ class TestNormForm:
         assert AlgebraicInt(1, 1, field(3)).norm() == 3      # 1 + 1 + 1
         assert AlgebraicInt(0, 2, field(11)).norm() == 12    # 4 * |z|^2
         assert AlgebraicInt(0, 1, field(4)).norm() == 1      # z_4 = i
+
+    def test_product_across_fields_raises(self):
+        with pytest.raises(ValueError, match="q=3 and q=7"):
+            AlgebraicInt(1, 1, field(3)) * AlgebraicInt(1, 1, field(7))
+        assert (AlgebraicInt(1, 1, field(7)) * AlgebraicInt(2, 0, field(7))).u == 2
 
     def test_norm_multiplicative(self):
         f = field(7)
@@ -203,6 +235,22 @@ class TestFactorize:
         monkeypatch.setattr(quadfield, "_prime_table_bound", 0)
         for b in bounds:
             assert quadfield.prime_table(b).tolist() == list(primerange(2, min(b, 10 ** 7) + 1))
+
+    def test_spf_table_holds_the_smallest_prime_factor(self, monkeypatch):
+        monkeypatch.setattr(quadfield, "_spf_table", None)
+        spf = quadfield._spf()
+        assert spf.dtype == np.int32 and len(spf) == (1 << 21) + 1
+        assert spf[:2].tolist() == [0, 1]
+        for n in [*range(2, 5000), 1448 ** 2, 1447 ** 2, 1439 * 1447, (1 << 21) - 1, 1 << 21]:
+            assert spf[n] == min(factorint(n)), n
+        # every entry is a prime dividing n: n itself for a prime n, and at
+        # most sqrt(n) for a composite one
+        primes = np.zeros(len(spf), dtype=bool)
+        primes[list(primerange(2, len(spf)))] = True
+        n, p = np.arange(2, len(spf)), spf[2:].astype(np.int64)
+        assert np.all(primes[p]) and np.all(n % p == 0)
+        assert np.array_equal(p == n, primes[2:])
+        assert np.all(p[~primes[2:]] ** 2 <= n[~primes[2:]])
 
     def test_factorize_never_sieves_the_prime_table(self, monkeypatch):
         monkeypatch.setattr(quadfield, "_prime_table", None)
