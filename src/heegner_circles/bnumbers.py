@@ -323,8 +323,10 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
     Inert primes enter each factor in pairs (both factors have character
     value +1 along the progression), so every term carries 0, 2, 4, ...
     inert primes with multiplicity; an odd count raises IdentityError.
-    all_split does not depend on z.
+    all_split does not depend on z.  fld must be spec's own field.
     """
+    if fld != spec.field:
+        raise ValueError(f"progression of q={spec.field.q} sifted in q={fld.q}")
     Y = int(math.floor(y))
     if Y < 1:
         return SiftedDecomposition(0, 0, 0, 0, 0)
@@ -372,8 +374,6 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
 
 def b_star_count(fld: Discriminant, spec: ProgressionSpec, y: float) -> int:
     """Indices j <= y whose reduced product has all prime factors split."""
-    if y < 1:
-        return 0
     return _sift(fld, spec, y, math.inf).all_split
 
 

@@ -45,11 +45,8 @@ class Radius:
             raise ValueError(f"two_n={self.two_n} invalid for q={q}")
         object.__setattr__(self, "n_plus", (self.two_n + q) // 2)
         object.__setattr__(self, "n_minus", (self.two_n - q) // 2)
-        if q % 2 == 0:
-            c4 = 2 if self.two_n % 4 == 0 else 1
-        else:
-            c4 = 2 if self.two_n % q == 0 else 1
-        object.__setattr__(self, "c4", c4)
+        ram = self.field.ramified_prime
+        object.__setattr__(self, "c4", 2 if self.n_minus % ram == 0 else 1)
 
     @property
     def norm_product(self) -> int:
@@ -115,10 +112,6 @@ class CirclePoint:
     def display_angle(self) -> float:
         """arg(x + iy) of the plotted point."""
         return math.atan2(self.Y, self.h * math.sqrt(self.field.q)) % (2 * math.pi)
-
-    def weyl_angle(self) -> float:
-        """arg(y + ix) of the associated algebraic integer."""
-        return math.atan2(self.h * math.sqrt(self.field.q), self.Y) % (2 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -218,11 +211,6 @@ def angles(radius: Radius) -> list[float]:
     return sorted(p.display_angle() for p in lattice_points(radius))
 
 
-def weyl_angles(radius: Radius) -> list[float]:
-    """Sorted arguments arg(y + ix) over the same points (the Weyl-sum side)."""
-    return sorted(p.weyl_angle() for p in lattice_points(radius))
-
-
 # ---------------------------------------------------------------------------
 # Oracles: the direct point solve and the brute-force matrix walk
 
@@ -267,7 +255,6 @@ def _row_families(fld: Discriminant, max_two_n: int):
             if gcd(c, d) != 1:
                 continue
             g, a0, b0 = _ext_gcd(d, -c)
-            assert a0 * d - b0 * c == 1
             yield (a0, b0, c, d)
 
 
@@ -306,7 +293,9 @@ def brute_force_matrices(radius: Radius) -> list[UnimodularMatrix]:
             if num % (2 * A) == 0:
                 t = num // (2 * A)
                 g = UnimodularMatrix(a0 + t * c, b0 + t * d, c, d)
-                assert arithmetic_radius(fld, g) == radius.two_n
+                if arithmetic_radius(fld, g) != radius.two_n:
+                    raise IdentityError(f"q={fld.q} two_n={radius.two_n}: the row walk "
+                                        f"solved {g.entries()} of another radius")
                 out.add(g)
     return sorted(out)
 
@@ -331,7 +320,9 @@ def brute_force_by_radius(fld: Discriminant, max_two_n: int) -> dict[int, list[U
         for t in range(lo, hi + 1):
             v = A * t * t + B * t + C
             if v <= target:
-                assert v % 8 == 0
+                if v % 8:
+                    raise IdentityError(f"q={fld.q}: 16R = {v} at row {(c, d)}, t={t} "
+                                        "is not divisible by 8")
                 g = UnimodularMatrix(a0 + t * c, b0 + t * d, c, d)
                 buckets.setdefault(v // 8, set()).add(g)
     return {tn: sorted(ms) for tn, ms in sorted(buckets.items())}

@@ -169,7 +169,7 @@ def _verify_field(fld: Discriminant, max_two_n: int, report: list[str]) -> str |
     for radius in radii[:min(len(radii), 40)]:
         equidist.discrepancy_report(radius)   # raises IdentityError above the bound
         dm = equidist.matrix_angle_discrepancy(radius)
-        if abs(dm - equidist.circle_discrepancy(sorted(circles.angles(radius)))) > 1e-9:
+        if abs(dm - equidist.circle_discrepancy(circles.angles(radius))) > 1e-9:
             return f"matrix-vs-point-discrepancy q={q} two_n={radius.two_n}"
     sharp = [r for r in radii if equidist.in_sharp_set(r)][:5]
     for radius in sharp:
@@ -293,6 +293,8 @@ def cmd_bnumbers(args) -> int:
     fld = field(int(args.q))
     if args.s is not None or args.z is not None:
         return _bnumbers_sieve_table(args, fld)
+    if abs(args.h) > 10 ** 7:
+        raise ValueError("--h capped at 10^7 in the curve view")
     xs = []
     x = 10 ** 3
     while x <= args.x:

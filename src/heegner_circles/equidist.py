@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd
 
 from .bnumbers import integers_form, r_count_array
 from .circles import Radius, brute_force_by_radius, radii_up_to, stabilizer_size
@@ -25,18 +24,20 @@ RATE_EXPONENT = math.log(math.pi / 2) / math.log(2)
 _BLOCK = 1 << 18
 
 
-def circle_discrepancy(angles_sorted: list[float]) -> float:
+def circle_discrepancy(angles: list[float]) -> float:
     """Supremum over circular arcs of |empirical mass - arc length / 2pi|.
 
-    Exact O(N) form on the sorted normalized points x_0 <= ... <= x_{N-1}:
+    The angles may come in any order and from any turn of the circle: they
+    are reduced mod 2pi and sorted here, once.  Exact O(N) form on the
+    sorted normalized points x_0 <= ... <= x_{N-1}:
     max(i/N - x_i) - min(i/N - x_i) + 1/N (Kuipers & Niederreiter,
     Uniform Distribution of Sequences, 1974, ch. 2).  _discrepancy_pairs,
     the O(N^2) scan over arc endpoints, is its reference in the tests.
     """
-    n = len(angles_sorted)
+    n = len(angles)
     if n == 0:
         raise ValueError("discrepancy of an empty angle set")
-    ph = _normalized(angles_sorted)
+    ph = _normalized(angles)
     us = [m / n - ph[m] for m in range(n)]
     return max(us) - min(us) + 1.0 / n
 
@@ -93,11 +94,16 @@ def et_bound(fld: Discriminant, radius: Radius, K: int | None = None) -> float:
     The constant pair (1, 3) makes the bound a true inequality against
     circle_discrepancy, which the tests assert radius by radius.
     """
+    return _et_bound(_radius_angles(radius), radius.two_n, K)
+
+
+def _et_bound(angs: list[float], two_n: int, K: int | None) -> float:
+    """et_bound from the radius's restricted angles, in element order."""
     if K is None:
-        K = default_harmonic_cutoff(radius.two_n)
+        K = default_harmonic_cutoff(two_n)
     if K < 1:
         raise ValueError("K >= 1 required")
-    prof = _weyl_sums(_radius_angles(radius), K)
+    prof = _weyl_sums(angs, K)
     return 1.0 / (K + 1) + 3.0 * sum(v / k for k, v in enumerate(prof, start=1))
 
 
@@ -133,9 +139,9 @@ def gamma_count(radius: Radius) -> int:
 
 
 def discrepancy_report(radius: Radius, K: int | None = None) -> DiscrepancyReport:
-    angs = sorted(a % (2 * math.pi) for a in _radius_angles(radius))
+    angs = _radius_angles(radius)
     return DiscrepancyReport(radius.two_n, len(angs), circle_discrepancy(angs),
-                             et_bound(radius.field, radius, K), gamma_count(radius))
+                             _et_bound(angs, radius.two_n, K), gamma_count(radius))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +175,8 @@ class SurveySummary:
 
 def _survey_row(radius: Radius) -> SurveyRow:
     split = [e for p, e in radius.norm_factors if chi(radius.field, p) == 1]
-    angs = sorted(a % (2 * math.pi) for a in _radius_angles(radius))
-    return SurveyRow(radius.two_n, len(split), sum(split), not in_sharp_set(radius),
+    angs = _radius_angles(radius)
+    return SurveyRow(radius.two_n, len(split), sum(split), radius.c4 == 1,
                      math.log2(len(angs)), len(angs), gamma_count(radius),
                      circle_discrepancy(angs))
 
@@ -216,10 +222,9 @@ def survey(fld: Discriminant, X: float, threads: int | None = None
 # The sharp-set factorization of v_k (radii whose two_n shares a factor with q)
 
 def in_sharp_set(radius: Radius) -> bool:
-    q = radius.field.q
-    if q % 2 == 1:
-        return radius.two_n % q == 0
-    return gcd(radius.two_n // 2, q) > 1
+    """The ramified prime divides n_minus: q | two_n for odd q, 4 | two_n
+    for even q."""
+    return radius.c4 == 2
 
 
 def sharp_factorization_check(fld: Discriminant, radius: Radius, k: int,
@@ -236,17 +241,15 @@ def sharp_factorization_check(fld: Discriminant, radius: Radius, k: int,
     if not in_sharp_set(radius):
         raise ValueError("radius is not in the sharp set")
     q = fld.q
-    M = radius.norm_product
-    lhs = v_k(fld, M, k)
     if q % 2 == 1:
         if radius.n_plus % q or radius.n_minus % q:
             raise ValueError("sharp radius with non-integral quotients")
+        lhs = v_k(fld, radius.norm_product, k)
         rhs = v_k(fld, radius.n_plus // q, k) * v_k(fld, radius.n_minus // q, k)
         if k % 2 == 0:
             return abs(lhs - rhs) <= tol
         return lhs <= 1e-12 and lhs <= rhs + tol
-    hits = sharp_power_hits(fld, radius, k, tol)
-    return bool(hits)
+    return bool(sharp_power_hits(fld, radius, k, tol))
 
 
 def sharp_power_hits(fld: Discriminant, radius: Radius, k: int,
@@ -258,8 +261,7 @@ def sharp_power_hits(fld: Discriminant, radius: Radius, k: int,
     """
     if fld.q % 2:
         raise ValueError("power report applies to even q")
-    M = radius.norm_product
-    lhs = v_k(fld, M, k)
+    lhs = v_k(fld, radius.norm_product, k)
     hits = []
     for a in (1, 2):
         if radius.n_plus % (1 << a):
@@ -286,8 +288,7 @@ class CircleSumResult:
     direct_count: int | None  # brute-force matrix count, when computed
 
 
-def circle_problem_sum(fld: Discriminant, x: float,
-                       compute_direct: bool | None = None) -> CircleSumResult:
+def circle_problem_sum(fld: Discriminant, x: float) -> CircleSumResult:
     """Count matrices with cosh(distance) <= x as a sum of r_count products.
 
     The convolution sum runs over two_n = 2m + q in (q, q*x], that is over
@@ -298,7 +299,8 @@ def circle_problem_sum(fld: Discriminant, x: float,
     prime divides m (q | two_n for odd q, 4 | two_n for even q) and 1
     otherwise.  r comes off one block sieve: each block of m sieves
     [lo, lo + n + q), so memory does not grow with x.  The total times 4
-    is accumulated and checked divisible.
+    is accumulated and checked divisible.  At x <= 10^3 the total is also
+    checked against direct_cosh_count, the brute-force matrix count.
     """
     if x < 1:
         raise ValueError("x >= 1 required")
@@ -319,9 +321,7 @@ def circle_problem_sum(fld: Discriminant, x: float,
                             "is not divisible by 4")
     conv = tot4 // 4
     centre = stabilizer_size(fld)
-    if compute_direct is None:
-        compute_direct = x <= 10 ** 3
-    direct = direct_cosh_count(fld, x) if compute_direct else None
+    direct = direct_cosh_count(fld, x) if x <= 10 ** 3 else None
     if direct is not None and conv + centre != direct:
         raise IdentityError(f"q={q} x={x}: convolution sum {conv} + centre "
                             f"{centre} != direct count {direct}")
@@ -352,7 +352,5 @@ def matrix_angle_discrepancy(radius: Radius) -> float:
     from .halfplane import apply_mobius, disc_map
     fld = radius.field
     mats = pairs_to_matrices(radius, radius.pairs)
-    angs = sorted(
-        math.atan2(w.imag, w.real) % (2 * math.pi)
-        for w in (disc_map(fld, apply_mobius(g, fld.z)) for g in mats))
-    return circle_discrepancy(angs)
+    ws = [disc_map(fld, apply_mobius(g, fld.z)) for g in mats]
+    return circle_discrepancy([math.atan2(w.imag, w.real) for w in ws])

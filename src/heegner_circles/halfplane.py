@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quadfield import AlgebraicInt, Discriminant
+from .quadfield import AlgebraicInt, Discriminant, IdentityError
 
 
 @dataclass(frozen=True, order=True)
@@ -71,10 +71,10 @@ def _radius16(fld: Discriminant, a: int, b: int, c: int, d: int) -> int:
 def arithmetic_radius(fld: Discriminant, gamma: UnimodularMatrix) -> int:
     """two_n = 2R(gamma; z_q) = q * cosh(rho(z_q, gamma z_q)), exact."""
     v = _radius16(fld, *gamma.entries())
-    assert v % 8 == 0
-    two_n = v // 8
-    assert two_n % 2 == fld.q % 2
-    return two_n
+    if v % 16 != 8 * (fld.q % 2):
+        raise IdentityError(f"q={fld.q} gamma={gamma.entries()}: 16R = {v} is not "
+                            "8 times an integer of the parity of q")
+    return v // 8
 
 
 def disc_map(fld: Discriminant, w: complex) -> complex:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -62,9 +61,6 @@ class Discriminant:
     @property
     def ramified_prime(self) -> int:
         return 2 if self.q % 2 == 0 else self.q
-
-    def units(self) -> list["AlgebraicInt"]:
-        return [AlgebraicInt(u, r, self) for u, r in _UNIT_COORDS[self.unit_count]]
 
     def ramified_generator(self) -> "AlgebraicInt":
         """An element of norm equal to the ramified prime."""
@@ -195,7 +191,6 @@ def chi_table(fld: Discriminant) -> np.ndarray:
 _PRIME_TABLE_LIMIT = 10 ** 7
 _SPF_LIMIT = 1 << 21
 
-_cache_lock = threading.Lock()
 _prime_table: np.ndarray | None = None
 _prime_table_bound = 0   # _prime_table holds every prime up to this
 _spf_table: np.ndarray | None = None
@@ -209,6 +204,16 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return g, y, x - (a // b) * y
 
 
+def _eratosthenes(bound: int) -> np.ndarray:
+    """The primes up to bound, ascending, as int64."""
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).astype(np.int64)
+
+
 def prime_table(bound: int = _PRIME_TABLE_LIMIT) -> np.ndarray:
     """The primes up to min(bound, 10^7), ascending, as int64.
 
@@ -218,41 +223,22 @@ def prime_table(bound: int = _PRIME_TABLE_LIMIT) -> np.ndarray:
     global _prime_table, _prime_table_bound
     bound = min(bound, _PRIME_TABLE_LIMIT)
     if _prime_table is None or _prime_table_bound < bound:
-        with _cache_lock:
-            if _prime_table is None or _prime_table_bound < bound:
-                sieve = np.ones(bound + 1, dtype=bool)
-                sieve[:2] = False
-                for p in range(2, isqrt(bound) + 1):
-                    if sieve[p]:
-                        sieve[p * p::p] = False
-                _prime_table = np.nonzero(sieve)[0].astype(np.int64)
-                _prime_table_bound = bound
-    tbl = _prime_table
-    return tbl[:np.searchsorted(tbl, bound, side="right")]
+        _prime_table = _eratosthenes(bound)
+        _prime_table_bound = bound
+    return _prime_table[:np.searchsorted(_prime_table, bound, side="right")]
 
 
 def _spf() -> np.ndarray:
     global _spf_table
-    tbl = _spf_table
-    if tbl is None:
-        with _cache_lock:
-            if _spf_table is None:
-                # every n starts as its own factor; each prime p <= sqrt(limit)
-                # then claims its multiples from p^2 on, the largest prime
-                # first, so the smallest prime factor writes last
-                n = _SPF_LIMIT
-                root = isqrt(n)
-                sieve = np.ones(root + 1, dtype=bool)
-                sieve[:2] = False
-                for p in range(2, isqrt(root) + 1):
-                    if sieve[p]:
-                        sieve[p * p::p] = False
-                spf = np.arange(n + 1, dtype=np.int32)
-                for p in np.flatnonzero(sieve)[::-1].tolist():
-                    spf[p * p::p] = p
-                _spf_table = spf
-            tbl = _spf_table
-    return tbl
+    if _spf_table is None:
+        # every n starts as its own factor; each prime p <= sqrt(limit) then
+        # claims its multiples from p^2 on, the largest prime first, so the
+        # smallest prime factor writes last
+        spf = np.arange(_SPF_LIMIT + 1, dtype=np.int32)
+        for p in _eratosthenes(isqrt(_SPF_LIMIT))[::-1].tolist():
+            spf[p * p::p] = p
+        _spf_table = spf
+    return _spf_table
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

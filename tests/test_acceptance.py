@@ -161,7 +161,7 @@ class TestCriterion05ConvolutionSum:
         scaled = {}
         ratio = None
         for x in (10 ** 3, 10 ** 4, 10 ** 5):
-            res = equidist.circle_problem_sum(f, x, compute_direct=False)
+            res = equidist.circle_problem_sum(f, x)
             resid = res.total - 6 * x
             scaled[x] = abs(resid) / x ** (2 / 3)
             if x == 10 ** 5:

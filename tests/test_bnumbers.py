@@ -196,6 +196,16 @@ class TestSiftedCount:
         with pytest.raises(ValueError, match="1 < s < inf"):
             sifted_decomposition(f, build_progression(f, 1), 100, s)
 
+    @pytest.mark.parametrize("q", [3, 11, 163, 4])
+    @pytest.mark.parametrize("count", [b_star_count,
+                                       lambda f, sp, y: sifted_count(f, sp, y, 2.5),
+                                       lambda f, sp, y: sifted_decomposition(f, sp, y, 2.5)],
+                             ids=["b_star_count", "sifted_count", "sifted_decomposition"])
+    def test_rejects_a_field_not_the_progressions_own(self, count, q):
+        sp = build_progression(field(7), 3)
+        with pytest.raises(ValueError, match=f"progression of q=7 sifted in q={q}"):
+            count(field(q), sp, 300)
+
     def test_decomposition_small(self):
         f = field(3)
         sp = build_progression(f, 1)

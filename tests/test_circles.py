@@ -4,12 +4,13 @@ import math
 import pytest
 
 from conftest import radii_within
+from heegner_circles import circles
 from heegner_circles.bnumbers import _SEGMENT
 from heegner_circles.circles import (CirclePoint, Radius, angles,
                                      brute_force_by_radius,
                                      brute_force_matrices, enumerate_pairs,
                                      lattice_points, pairs_to_matrices,
-                                     radii_up_to, stabilizer_size, weyl_angles)
+                                     radii_up_to, stabilizer_size)
 from heegner_circles.halfplane import arithmetic_radius, split_coordinates
 from heegner_circles.quadfield import (IdentityError, all_fields, b_indicator,
                                        factorize, field, r_count, r_star, v_k)
@@ -172,6 +173,24 @@ class TestBruteForce:
         for tn, ms in sweep.items():
             assert ms == brute_force_matrices(Radius(f, tn))
 
+    def test_matrix_off_its_radius_raises(self, monkeypatch):
+        # an IdentityError, not an assert, so the check survives python -O
+        monkeypatch.setattr(circles, "arithmetic_radius", lambda fld, g: -1)
+        with pytest.raises(IdentityError, match="of another radius"):
+            brute_force_matrices(Radius(field(4), 6))
+
+    def test_sweep_value_off_the_lattice_raises(self, monkeypatch):
+        # 16R must be a multiple of 8 on every row the sweep walks
+        original = circles._row_quadratic
+
+        def shifted(*args):
+            A, B, C = original(*args)
+            return A, B, C + 1
+
+        monkeypatch.setattr(circles, "_row_quadratic", shifted)
+        with pytest.raises(IdentityError, match="is not divisible by 8"):
+            brute_force_by_radius(field(3), 40)
+
 
 class TestLatticePoints:
     def test_q3_two_n_5(self):
@@ -232,7 +251,7 @@ class TestAngles:
         for f in all_fields():
             for radius in radii_within(f, 60):
                 M = radius.norm_product
-                ws = weyl_angles(radius)
+                ws = [math.atan2(p.h * math.sqrt(f.q), p.Y) for p in lattice_points(radius)]
                 for k in range(1, 21):
                     s = abs(sum(cmath.exp(1j * k * a) for a in ws))
                     assert abs(s - r_star(f, M) * v_k(f, M, k)) < 1e-9

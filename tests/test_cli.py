@@ -376,6 +376,10 @@ USAGE_ERRORS = [
     (["survey", "--q", "3", "--x", "2e7"], "survey: --x capped at 10^7"),
     (["count", "--q", "3", "--x", "2e6"], "count: --x capped at 10^6"),
     (["bnumbers", "--q", "3", "--x", "2e7", "--h", "1"], "bnumbers: --x capped at 10^7"),
+    (["bnumbers", "--q", "4", "--x", "1000", "--h", str(10 ** 14)],
+     "bnumbers: --h capped at 10^7 in the curve view"),
+    (["bnumbers", "--q", "4", "--x", "1000", f"--h=-{10 ** 7 + 1}"],
+     "bnumbers: --h capped at 10^7 in the curve view"),
     (["bnumbers", "--q", "3", "--x", "0.5", "--h", "1", "--s", "2.5"],
      "bnumbers: --x must be at least 1 in the sieve view"),
     (["bnumbers", "--q", "3", "--x", "100", "--h", "1", "--z", "2"],
@@ -400,6 +404,7 @@ USAGE_ERRORS = [
 @pytest.mark.parametrize("argv,message", USAGE_ERRORS,
                          ids=["verify-cap", "circle-two-n-cap", "circle-k-cap",
                               "circle-parity", "survey-cap", "count-cap", "bnumbers-cap",
+                              "bnumbers-h-cap", "bnumbers-negative-h-cap",
                               "sieve-x-below-1", "sieve-z", "sieve-s", "sieve-z-nan",
                               "sieve-s-nan", "sieve-s-inf", "sieve-past-psi13", "plot-cap",
                               "plot-invalid"])

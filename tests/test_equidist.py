@@ -35,7 +35,7 @@ class TestDiscrepancy:
         assert circle_discrepancy([2.0]) == 1.0
 
     def test_q3_example(self):
-        got = circle_discrepancy(sorted(angles(Radius(field(3), 5))))
+        got = circle_discrepancy(angles(Radius(field(3), 5)))
         assert abs(got - 1.0 / 3) < 1e-12
 
     def test_empty_rejected(self):
@@ -52,6 +52,25 @@ class TestDiscrepancy:
         d2 = circle_discrepancy(angs)
         assert abs(d1 - d2) < 1e-12
         assert 0 <= d1 <= 1 + 1e-12
+
+    @given(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=60)
+           .flatmap(lambda angs: st.tuples(st.just(angs), st.permutations(angs))))
+    @settings(max_examples=300, deadline=None)
+    def test_order_of_input_does_not_matter(self, lists):
+        # circle_discrepancy reduces and sorts its own input: any order of
+        # the same angles, on any turn of the circle, gives the same bits
+        angs, shuffled = lists
+        assert circle_discrepancy(shuffled) == circle_discrepancy(angs)
+
+    def test_presorting_changes_no_bit(self):
+        # the survey and the reports pass the restricted angles in element
+        # order; sorting them mod 2 pi first gives the same float
+        for f in all_fields():
+            for radius in radii_within(f, 300):
+                angs = equidist._radius_angles(radius)
+                presorted = sorted(a % (2 * math.pi) for a in angs)
+                assert circle_discrepancy(angs) == circle_discrepancy(presorted), \
+                    (f.q, radius.two_n)
 
     def test_large_input_uses_fast_path(self):
         n = 1000
@@ -93,6 +112,22 @@ class TestEtBound:
                 rep = discrepancy_report(radius)
                 assert rep.discrepancy <= rep.et_bound + 1e-12
 
+    def test_report_composes_once(self, monkeypatch):
+        # one restricted_angles list feeds both the discrepancy and the bound
+        calls = []
+        original = equidist.restricted_angles
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(equidist, "restricted_angles", counted)
+        f = field(7)
+        radius = radii_within(f, 200)[-1]
+        rep = discrepancy_report(radius, K=6)
+        assert calls == [radius.norm_product]
+        assert rep.et_bound == et_bound(f, radius, K=6)
+
     def test_gamma_count_matches_pairs(self):
         from heegner_circles.circles import enumerate_pairs
         for f in all_fields():
@@ -105,7 +140,7 @@ class TestCor27:
         for f in all_fields():
             for radius in radii_within(f, 60):
                 dm = matrix_angle_discrepancy(radius)
-                dp = circle_discrepancy(sorted(angles(radius)))
+                dp = circle_discrepancy(angles(radius))
                 assert abs(dm - dp) < 1e-9, (f.q, radius.two_n)
 
 
@@ -144,6 +179,17 @@ class TestSharpFactorization:
                 for k in (2, 4, 6):
                     assert sharp_power_hits(f, radius, k), (q, radius.two_n, k)
 
+    def test_reads_c4_as_the_ramified_test(self):
+        # c4 = 2, in_sharp_set and the spelled-out ramified test agree on
+        # every candidate radius up to two_n = 2000
+        for f in all_fields():
+            q = f.q
+            for two_n in range(q, 2001, 2):
+                radius = Radius(f, two_n)
+                old = two_n % q == 0 if q % 2 else math.gcd(two_n // 2, q) > 1
+                assert in_sharp_set(radius) == old, (q, two_n)
+                assert radius.c4 == (2 if old else 1), (q, two_n)
+
     def test_non_sharp_rejected(self):
         f = field(3)
         radius = Radius(f, 5)
@@ -165,6 +211,13 @@ class TestCircleProblemSum:
                 res = circle_problem_sum(f, x)
                 assert res.direct_count is not None
                 assert res.total == res.direct_count
+
+    def test_direct_count_up_to_one_thousand(self):
+        # the brute-force oracle checks every total at x <= 10^3, none above
+        f = field(163)
+        at = circle_problem_sum(f, 1000)
+        assert at.direct_count == at.total
+        assert circle_problem_sum(f, 1000.5).direct_count is None
 
     def test_summand_integrality(self):
         res = circle_problem_sum(field(3), 60)
@@ -188,7 +241,7 @@ class TestCircleProblemSum:
         monkeypatch.setattr(equidist, "r_count_array",
                             lambda fld, form, lo, n: np.ones(n, dtype=np.int64))
         with pytest.raises(IdentityError, match="= 17 is not divisible by 4"):
-            circle_problem_sum(field(3), 10, compute_direct=False)
+            circle_problem_sum(field(3), 10)
 
     @pytest.mark.parametrize("q,x", [(3, 2000), (163, 2000), (163, 4000)],
                              ids=["3", "163", "163-seam"])
@@ -204,7 +257,7 @@ class TestCircleProblemSum:
             if r1:
                 r2 = r_count_from_factors(f, factorize((two_n + q) // 2))
                 tot4 += Radius(f, two_n).c4 * r1 * r2
-        res = circle_problem_sum(f, x, compute_direct=False)
+        res = circle_problem_sum(f, x)
         assert res.convolution_part == tot4 // 4
         assert res.total == tot4 // 4 + stabilizer_size(f)
         if x == 4000:
@@ -212,21 +265,21 @@ class TestCircleProblemSum:
 
     @pytest.mark.parametrize("block", [97, 1000])
     def test_block_length_does_not_change_the_sum(self, monkeypatch, block):
-        want = {f.q: circle_problem_sum(f, 300, compute_direct=False) for f in all_fields()}
+        want = {f.q: circle_problem_sum(f, 300) for f in all_fields()}
         monkeypatch.setattr(equidist, "_BLOCK", block)
         for f in all_fields():
-            assert circle_problem_sum(f, 300, compute_direct=False) == want[f.q], f.q
+            assert circle_problem_sum(f, 300) == want[f.q], f.q
 
     def test_factorizes_nothing(self, monkeypatch):
         f = field(163)
-        want = circle_problem_sum(f, 2000, compute_direct=False)
+        want = circle_problem_sum(f, 2000)
 
         def refuse(n):
             raise AssertionError(f"factorize({n}) called")
 
         monkeypatch.setattr(quadfield, "factorize", refuse)
         monkeypatch.setattr(equidist, "factorize", refuse)
-        assert circle_problem_sum(f, 2000, compute_direct=False) == want
+        assert circle_problem_sum(f, 2000) == want
 
     def test_builds_no_spf_table(self):
         # in a fresh process: the count path never builds the 2^21 SPF table

@@ -10,7 +10,8 @@ from heegner_circles.halfplane import (UnimodularMatrix, apply_mobius,
                                        congruence_holds_full, coords_from_split,
                                        cosh_distance, disc_map, integer_coords,
                                        matrix_from_split, split_coordinates)
-from heegner_circles.quadfield import AlgebraicInt, all_fields, field
+from heegner_circles import halfplane
+from heegner_circles.quadfield import AlgebraicInt, IdentityError, all_fields, field
 
 
 def random_matrices(seed, count, bound=40):
@@ -95,6 +96,15 @@ class TestArithmeticRadius:
                 two_n = arithmetic_radius(f, g)
                 ch = cosh_distance(f.z, apply_mobius(g, f.z))
                 assert abs(ch - two_n / f.q) <= 1e-6 * max(1.0, two_n / f.q)
+
+    @pytest.mark.parametrize("q,v", [(3, 8 * 7 + 4), (3, 8 * 6), (4, 8 * 5)],
+                             ids=["not-a-multiple-of-8", "odd-q-even-radius",
+                                  "even-q-odd-radius"])
+    def test_off_lattice_radius_raises(self, monkeypatch, q, v):
+        # an IdentityError, not an assert, so the check survives python -O
+        monkeypatch.setattr(halfplane, "_radius16", lambda fld, a, b, c, d: v)
+        with pytest.raises(IdentityError, match=f"16R = {v}"):
+            arithmetic_radius(field(q), UnimodularMatrix.identity())
 
 
 class TestMobius:
