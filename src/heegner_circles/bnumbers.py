@@ -109,37 +109,53 @@ def _odd_exponent(odd: np.ndarray, slices: list[tuple[int, int]], n: int) -> Non
     odd[first::p] |= parity
 
 
-def norm_indicator_array(fld: Discriminant, limit: int) -> np.ndarray:
-    """Boolean array ind[0..limit]: ind[n] iff n >= 1 is a norm value.
+def _indicator_block(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.ndarray:
+    """ind[i] iff lo + i is a norm value, for i < n (lo >= 1), in one int64
+    and two bool arrays of length n; form runs over the ramified and
+    the inert primes up to sqrt(top), top >= lo + n - 1.
 
-    Segmented over blocks of 2^20: each inert prime p <= sqrt(limit)
-    writes the parity of its valuation on its own multiples only.  What
-    is left is at most one prime factor c > sqrt(limit), and it is not
-    divided out: chi is completely multiplicative, so once every small
-    inert exponent is even, chi(n with its ramified part stripped) =
-    chi(c), which is -1 exactly when c is inert.
+    Each inert prime writes the parity of its valuation on its multiples.
+    What is left is at most one prime c > sqrt(top), not divided out: once
+    every small inert exponent is even, chi (completely multiplicative) of
+    m with its ramified part stripped is chi(c), -1 exactly when c is inert.
     """
+    rem = form.values(lo, n)
+    odd = np.zeros(n, dtype=bool)
+    for p, slices in form.hits(lo, n):
+        if p == fld.ramified_prime:
+            for start, pk in slices:
+                rem[start::pk] //= p
+        else:
+            _odd_exponent(odd, slices, n)
+    odd |= (chi_table(fld) == -1)[np.remainder(rem, chi_period(fld), out=rem)]
+    return np.logical_not(odd, out=odd)
+
+
+def _pair_blocks(fld: Discriminant, lo: int, hi: int, h: int):
+    """(start, pair) for m in [lo, hi), block by block: pair[i] iff both
+    m = start + i and m + h are norm values (lo + min(h, 0) >= 1).  Each
+    integer is sieved once: a block's last |h| indicators are carried into
+    the next, so memory is O(2^20 + |h|) over any range."""
+    d, s, top = abs(h), lo + min(h, 0), hi + max(h, 0) - 1
+    small = quadfield.prime_table(isqrt(max(top, 0)))
+    inert = small[chi_table(fld)[small % chi_period(fld)] == -1]
+    form = _LinearForm(1, 0, [fld.ramified_prime, *inert], top)
+    window = np.zeros(0, dtype=bool)   # the indicators of [s, s + len)
+    for b in range(s, top + 1, _SEGMENT):
+        window = np.concatenate(
+            (window, _indicator_block(fld, form, b, min(_SEGMENT, top + 1 - b))))
+        k = len(window) - d   # the pairs (s + i, s + i + d), i < k, are complete
+        if k > 0:
+            yield s - min(h, 0), window[:k] & window[d:]
+            window, s = window[k:].copy(), s + k   # the copy lets the block go
+
+
+def norm_indicator_array(fld: Discriminant, limit: int) -> np.ndarray:
+    """Boolean array ind[0..limit]: ind[n] iff n >= 1 is a norm value; the
+    pair sieve at shift 0 over the whole range, for tests and the benchmark."""
     if limit < 1:
         raise ValueError("limit >= 1 required")
-    ram = fld.ramified_prime
-    per = chi_period(fld)
-    table = chi_table(fld)
-    small = quadfield.prime_table(isqrt(limit))
-    form = _LinearForm(1, 0, [ram, *small[table[small % per] == -1]], limit)
-    ind = np.empty(limit + 1, dtype=bool)
-    for lo in range(0, limit + 1, _SEGMENT):
-        n = min(_SEGMENT, limit + 1 - lo)
-        stripped = form.values(lo, n)
-        odd = np.zeros(n, dtype=bool)
-        for p, slices in form.hits(lo, n):
-            if p == ram:
-                for start, pk in slices:
-                    stripped[start::pk] //= p
-            else:
-                _odd_exponent(odd, slices, n)
-        ind[lo:lo + n] = ~odd & (table[stripped % per] != -1)
-    ind[0] = False
-    return ind
+    return np.concatenate([[False], *(ind for _, ind in _pair_blocks(fld, 1, limit + 1, 0))])
 
 
 def integers_form(top: int) -> _LinearForm:
@@ -187,12 +203,19 @@ def r_count_array(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.n
 
 def shifted_count(fld: Discriminant, x: float, h: int) -> int:
     """Number of n <= x with both n and n + h norm values (n, n + h >= 1)."""
-    if x < 1:
+    return _shifted_counts(fld, [x], h)[0]
+
+
+def _shifted_counts(fld: Discriminant, xs: list[float], h: int) -> list[int]:
+    """shifted_count at every x of xs, from one pass of the pair sieve."""
+    if min(xs) < 1:
         raise ValueError("x >= 1 required")
-    X = int(math.floor(x))
-    ind = norm_indicator_array(fld, X + max(h, 0))
-    lo = max(1, 1 - h)
-    return int(np.count_nonzero(ind[lo:X + 1] & ind[lo + h:X + 1 + h]))
+    counts = [0] * len(xs)
+    for start, pair in _pair_blocks(fld, max(1, 1 - h), math.floor(max(xs)) + 1, h):
+        for i, x in enumerate(xs):
+            counts[i] += int(np.count_nonzero(pair[:max(math.floor(x) + 1 - start, 0)]))
+        del pair   # freed before the next block is sieved
+    return counts
 
 
 # ---------------------------------------------------------------------------

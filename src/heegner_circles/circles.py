@@ -22,7 +22,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .bnumbers import norm_indicator_array
+from .bnumbers import _pair_blocks
 from .halfplane import (UnimodularMatrix, arithmetic_radius, congruence_holds,
                         coords_from_split, matrix_from_split, _radius16)
 from .quadfield import (AlgebraicInt, Discriminant, IdentityError, factorize,
@@ -134,18 +134,15 @@ def radii_up_to(fld: Discriminant, x: float) -> list[Radius]:
     """All radii with 2R <= 2x whose circle is nonempty, ascending.
 
     A candidate two_n = 2m + q carries points iff n_minus = m and
-    n_plus = m + q are both norms; one norm-indicator sieve up to the
-    largest n_plus answers that for every candidate at once.
+    n_plus = m + q are both norms; one streamed pair sieve with shift q
+    answers that for every candidate, block by block.
     """
     q = fld.q
     if x < q / 2:
         raise ValueError("x below the minimal radius q/2")
     top = (int(2 * x) - q) // 2   # the largest n_minus
-    if top < 1:
-        return []
-    ind = norm_indicator_array(fld, top + q)
-    ms = np.flatnonzero(ind[1:top + 1] & ind[1 + q:top + q + 1]) + 1
-    return [Radius(fld, 2 * m + q) for m in ms.tolist()]
+    return [Radius(fld, 2 * m + q) for start, pair in _pair_blocks(fld, 1, top + 1, q)
+            for m in (np.flatnonzero(pair) + start).tolist()]
 
 
 def enumerate_pairs(radius: Radius) -> list[SplitPair]:

@@ -288,24 +288,17 @@ def cmd_count(args) -> int:
 # bnumbers: shifted-pair curve
 
 def cmd_bnumbers(args) -> int:
-    if args.x > 10 ** 7:
-        raise ValueError("--x capped at 10^7")
     fld = field(int(args.q))
     if args.s is not None or args.z is not None:
         return _bnumbers_sieve_table(args, fld)
+    if args.x > 10 ** 9:
+        raise ValueError("--x capped at 10^9 in the curve view")
     if abs(args.h) > 10 ** 7:
         raise ValueError("--h capped at 10^7 in the curve view")
-    xs = []
-    x = 10 ** 3
-    while x <= args.x:
-        xs.append(x)
-        x *= 10
-    if not xs or xs[-1] != int(args.x):
-        xs.append(int(args.x))
-    rows = []
-    for xv in xs:
-        b = bnumbers.shifted_count(fld, xv, args.h)
-        rows.append([xv, args.h, b, b * math.log(xv) / xv])
+    x = int(args.x)
+    xs = [10 ** k for k in range(3, 10) if 10 ** k < x] + [x]
+    counts = bnumbers._shifted_counts(fld, xs, args.h)
+    rows = [[xv, args.h, b, b * math.log(xv) / xv] for xv, b in zip(xs, counts)]
     header = ["x", "h", "count", "count_logx_over_x"]
     _emit_table(args, "bnumbers", fld.q, header, rows)
     return 0
@@ -315,6 +308,8 @@ def _bnumbers_sieve_table(args, fld: Discriminant) -> int:
     """Progression sieve view: --x is the index bound y; --s (or --z) sets
     the sifting cut z = y^(1/s) (or z directly)."""
     y = args.x
+    if y > 10 ** 7:
+        raise ValueError("--x capped at 10^7 in the sieve view")
     if y < 1:
         raise ValueError("--x must be at least 1 in the sieve view")
     spec = bnumbers.build_progression(fld, args.h)
@@ -430,52 +425,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     qchoices = [str(v) for v in CLASS_NUMBER_ONE_Q]
 
-    p = sub.add_parser("verify", help="run the identity suite")
-    p.add_argument("--q", choices=qchoices + ["all"], default="all")
-    p.add_argument("--max-two-n", type=int, default=200, dest="max_two_n")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_verify)
+    def command(name: str, fn, help: str, **q) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--q", **(q or {"choices": qchoices, "required": True}))
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("circle", help="dump points/matrices of circles")
-    p.add_argument("--q", choices=qchoices, required=True)
+    p = command("verify", cmd_verify, "run the identity suite",
+                choices=qchoices + ["all"], default="all")
+    p.add_argument("--max-two-n", type=int, default=200, dest="max_two_n")
+
+    p = command("circle", cmd_circle, "dump points/matrices of circles")
     p.add_argument("--two-n", type=_parse_two_n_list, required=True, dest="two_n")
     p.add_argument("--k", type=int, default=None,
                    help="also report discrepancy and its harmonic bound at cutoff K")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_circle)
 
-    p = sub.add_parser("survey", help="per-radius statistics up to a height")
-    p.add_argument("--q", choices=qchoices, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_survey)
-
-    p = sub.add_parser("count", help="hyperbolic circle problem count")
-    p.add_argument("--q", choices=qchoices, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_count)
-
-    p = sub.add_parser("bnumbers", help="shifted norm-pair counting curve")
-    p.add_argument("--q", choices=qchoices, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--h", type=int, required=True)
+    for p in (command("survey", cmd_survey, "per-radius statistics up to a height"),
+              command("count", cmd_count, "hyperbolic circle problem count"),
+              command("bnumbers", cmd_bnumbers, "shifted norm-pair counting curve")):
+        p.add_argument("--x", type=float, required=True)
+    p.add_argument("--h", type=int, required=True)   # p is bnumbers
     p.add_argument("--z", type=float, default=None,
                    help="progression sieve view with this sifting cut")
     p.add_argument("--s", type=float, default=None,
                    help="progression sieve view with cut z = x^(1/s)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_bnumbers)
 
-    p = sub.add_parser("plot", help="SVG of circles in half-plane and disc")
-    p.add_argument("--q", choices=qchoices, required=True)
+    p = command("plot", cmd_plot, "SVG of circles in half-plane and disc")
     p.add_argument("--two-n", type=_parse_two_n_list, required=True, dest="two_n")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_plot)
+
+    for name, p in sub.choices.items():   # every command ends with its output flags
+        if name not in ("verify", "plot"):
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--out", default=None)
     return ap
 
 

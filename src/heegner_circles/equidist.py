@@ -43,7 +43,8 @@ def circle_discrepancy(angles: list[float]) -> float:
 
 
 def _normalized(angles_seq: list[float]) -> list[float]:
-    return sorted((a % (2 * math.pi)) / (2 * math.pi) for a in angles_seq)
+    # a just below 0 has a % 2pi == 2pi; the final % 1.0 maps its phase to 0.0
+    return sorted(a % (2 * math.pi) / (2 * math.pi) % 1.0 for a in angles_seq)
 
 
 def _discrepancy_pairs(angles_seq: list[float]) -> float:

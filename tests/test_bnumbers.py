@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -47,6 +48,7 @@ class TestNormIndicatorArray:
     def test_against_factorization(self):
         for f in all_fields():
             ind = norm_indicator_array(f, 3000)
+            assert not ind[0]   # 0 is no norm value
             for n in range(1, 3001):
                 assert bool(ind[n]) == b_indicator(f, n), (f.q, n)
 
@@ -84,12 +86,47 @@ class TestShiftedCount:
         assert shifted_count(f, 500, 0) == int(np.count_nonzero(ind[1:]))
 
     def test_negative_shift_matches_positive(self):
-        # B(x, -h) counts the same pairs as B(x, h) shifted by h
+        # B(x, -h) counts the pairs (n - h, n) with 1 + h <= n <= x, exactly
         f, h, x = field(7), 3, 4000
-        ind = norm_indicator_array(f, x + h)
-        pos = sum(1 for n in range(1, x + 1) if ind[n] and ind[n + h])
-        neg = shifted_count(f, x, -h)
-        assert abs(pos - neg) <= h
+        ind = norm_indicator_array(f, x)
+        want = sum(1 for n in range(1 + h, x + 1) if ind[n] and ind[n - h])
+        assert shifted_count(f, x, -h) == want
+
+    @pytest.mark.parametrize("q", [3, 4, 7, 8, 11, 19, 43, 67, 163])
+    def test_streamed_pairs_match_whole_array_across_seams(self, q):
+        # x on both sides of the first two block seams; the shift S + 7 is
+        # longer than a block, so the carried window spans a whole block
+        f, S = field(q), bnumbers._SEGMENT
+        xs = [S - 300, S + 300, 2 * S - 300, 2 * S + 300]
+        ind = norm_indicator_array(f, xs[-1] + S + 7)
+        for h in (1, 3, -5, q, S + 7):
+            lo = max(1, 1 - h)
+            for x in xs:
+                want = int(np.count_nonzero(ind[lo:x + 1] & ind[lo + h:x + 1 + h]))
+                assert shifted_count(f, x, h) == want, (q, x, h)
+
+    @pytest.mark.parametrize("q,x,h", [(4, 2_500_000, -5), (4, 2_500_000, -1000),
+                                       (7, 123_456, 3), (163, 54_321, 1)])
+    def test_one_pass_counts_match_separate_calls(self, q, x, h):
+        # the decades of the curve plus checkpoints inside blocks, off every seam
+        f = field(q)
+        xs = [v for v in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6) if v < x]
+        xs += list(range(x // 7, x + 1, x // 7))
+        assert bnumbers._shifted_counts(f, xs, h) == [shifted_count(f, v, h) for v in xs]
+
+    def test_memory_does_not_grow_with_x(self):
+        # tracemalloc sees numpy's buffers: the sieve holds O(block) bytes
+        f = field(4)
+        shifted_count(f, 10 ** 4, 1)   # build the small prime table first
+        peaks = []
+        for x in (2 * 10 ** 6, 6 * 10 ** 6):
+            tracemalloc.start()
+            try:
+                shifted_count(f, x, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 10 ** 6 and peaks[1] < 16 * 10 ** 6, peaks
 
 
 class TestBuildProgression:

@@ -209,6 +209,14 @@ class TestSurveyCounts:
         assert code == 0
         assert xs[-1] == last and len(xs) == len(set(xs))
 
+    def test_bnumbers_curve_runs_past_ten_million(self, capsys):
+        # the curve view's cap is 10^9; the rows are the decades, then x
+        code, out = run(capsys, "bnumbers", "--q", "163", "--x", "10000001", "--h", "1")
+        rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+        assert code == 0
+        assert [int(r[0]) for r in rows] == [10 ** k for k in range(3, 8)] + [10 ** 7 + 1]
+        assert int(rows[-1][2]) == bnumbers.shifted_count(quadfield.field(163), 10 ** 7 + 1, 1)
+
     def test_bnumbers_sieve_infinite_z_is_the_all_split_count(self, capsys):
         code, out = run(capsys, "bnumbers", "--q", "3", "--x", "100", "--h", "1",
                         "--z", "inf")
@@ -220,7 +228,7 @@ class TestSurveyCounts:
     def test_out_of_range_caps(self, capsys):
         assert run(capsys, "survey", "--q", "3", "--x", "2e7")[0] == 2
         assert run(capsys, "count", "--q", "3", "--x", "2e6")[0] == 2
-        assert run(capsys, "bnumbers", "--q", "3", "--x", "2e7", "--h", "1")[0] == 2
+        assert run(capsys, "bnumbers", "--q", "3", "--x", "2e9", "--h", "1")[0] == 2
 
     def test_precondition_violations_are_usage_errors(self, capsys):
         assert run(capsys, "survey", "--q", "163", "--x", "10")[0] == 2
@@ -375,7 +383,10 @@ USAGE_ERRORS = [
     (["circle", "--q", "3", "--two-n", "5,6"], "circle: two_n=6 has wrong parity for q=3"),
     (["survey", "--q", "3", "--x", "2e7"], "survey: --x capped at 10^7"),
     (["count", "--q", "3", "--x", "2e6"], "count: --x capped at 10^6"),
-    (["bnumbers", "--q", "3", "--x", "2e7", "--h", "1"], "bnumbers: --x capped at 10^7"),
+    (["bnumbers", "--q", "3", "--x", "2e9", "--h", "1"],
+     "bnumbers: --x capped at 10^9 in the curve view"),
+    (["bnumbers", "--q", "3", "--x", "2e7", "--h", "1", "--s", "2.5"],
+     "bnumbers: --x capped at 10^7 in the sieve view"),
     (["bnumbers", "--q", "4", "--x", "1000", "--h", str(10 ** 14)],
      "bnumbers: --h capped at 10^7 in the curve view"),
     (["bnumbers", "--q", "4", "--x", "1000", f"--h=-{10 ** 7 + 1}"],
@@ -404,7 +415,7 @@ USAGE_ERRORS = [
 @pytest.mark.parametrize("argv,message", USAGE_ERRORS,
                          ids=["verify-cap", "circle-two-n-cap", "circle-k-cap",
                               "circle-parity", "survey-cap", "count-cap", "bnumbers-cap",
-                              "bnumbers-h-cap", "bnumbers-negative-h-cap",
+                              "sieve-x-cap", "bnumbers-h-cap", "bnumbers-negative-h-cap",
                               "sieve-x-below-1", "sieve-z", "sieve-s", "sieve-z-nan",
                               "sieve-s-nan", "sieve-s-inf", "sieve-past-psi13", "plot-cap",
                               "plot-invalid"])

@@ -38,6 +38,11 @@ class TestDiscrepancy:
         got = circle_discrepancy(angles(Radius(field(3), 5)))
         assert abs(got - 1.0 / 3) < 1e-12
 
+    def test_angle_just_below_zero_is_phase_zero(self):
+        # -1e-20 % 2pi rounds to 2pi; its phase must be 0.0 like +0.0's, not 1.0
+        rest = [0.3, 2.0, 4.1, 5.9]
+        assert circle_discrepancy([-1e-20, *rest]) == circle_discrepancy([0.0, *rest])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             circle_discrepancy([])
