@@ -26,7 +26,7 @@ from .bnumbers import _pair_blocks
 from .halfplane import (UnimodularMatrix, arithmetic_radius, congruence_holds,
                         coords_from_split, matrix_from_split, _radius16)
 from .quadfield import (AlgebraicInt, Discriminant, IdentityError, factorize,
-                        r_count_from_factors, _element_coords, _ext_gcd)
+                        r_count_from_factors, _ext_gcd, _unit_blocks)
 
 
 @dataclass(frozen=True)
@@ -146,19 +146,19 @@ def radii_up_to(fld: Discriminant, x: float) -> list[Radius]:
 
 
 def enumerate_pairs(radius: Radius) -> list[SplitPair]:
-    """The congruence-filtered norm pairs, one representative per sign class."""
+    """Norm pairs passing the congruence, one per sign class, tested per pair of unit blocks."""
     if radius.two_n <= radius.field.q:
         raise ValueError("two_n = q is the circle centre; no pairs")
     fld = radius.field
     f_minus, f_plus = radius.factors
-    seconds = _element_coords(fld, radius.n_minus, f_minus)
+    seconds = _unit_blocks(fld, radius.n_minus, f_minus)
     found = []
-    for u, r in _element_coords(fld, radius.n_plus, f_plus):
-        if (r, u) < (0, 0):   # n_plus >= 1: (r, u) alone fixes the sign class
-            continue
-        for t, s in seconds:
-            if congruence_holds(fld, r, u, s, t):
-                found.append((r, u, s, t))
+    for block in _unit_blocks(fld, radius.n_plus, f_plus):
+        # n_plus >= 1: (r, u) alone fixes the sign class
+        canonical = [(r, u) for u, r in block if (r, u) > (0, 0)]
+        for other in seconds:
+            if congruence_holds(fld, block[0][1], block[0][0], other[0][1], other[0][0]):
+                found += [(r, u, s, t) for r, u in canonical for t, s in other]
     out = [SplitPair(AlgebraicInt(u, r, fld), AlgebraicInt(t, s, fld))
            for (r, u, s, t) in sorted(found)]
     for p in out:
@@ -197,8 +197,6 @@ def lattice_points(radius: Radius) -> list[CirclePoint]:
     unit_count/2 times, and the point count must equal
     (c4/2) * r_count(n_plus * n_minus); either failure raises IdentityError.
     """
-    if radius.two_n <= radius.field.q:
-        raise ValueError("two_n = q is the circle centre; no points")
     return [CirclePoint(h, Y, radius.field, radius.two_n)
             for (h, Y) in sorted(radius.pairs_by_point)]
 
@@ -245,9 +243,8 @@ def _row_families(fld: Discriminant, max_two_n: int):
         dhi = (w - tm * c) // 2 + 1
         for d in range(dlo, dhi + 1):
             if c == 0:
-                if d != 1:
-                    continue
-                yield (1, 0, 0, 1)
+                if d == 1:
+                    yield (1, 0, 0, 1)
                 continue
             if gcd(c, d) != 1:
                 continue

@@ -54,7 +54,7 @@ def _emit_table(args, schema: str, q, header: list[str], rows: list[list],
     if args.format == "json":
         doc = {"meta": {"q": q, "command": schema, "version": SCHEMA_VERSION, **meta},
                "rows": [dict(zip(header, row)) for row in rows]}
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     else:
         if trailer is None:
             trailer = [f"{k}: {_cell(v)}" for k, v in meta.items()]
@@ -184,18 +184,17 @@ def cmd_verify(args) -> int:
     if args.max_two_n > 10 ** 4:
         raise ValueError("--max-two-n capped at 10^4")
     report: list[str] = []
+    fail = None
     for fld in _selected_fields(args.q):
         try:
             fail = _verify_field(fld, args.max_two_n, report)
         except quadfield.IdentityError as exc:
             fail = f"identity q={fld.q}: {exc}"
         if fail is not None:
-            text = "\n".join(report + [f"FAIL {fail}"]) + "\n"
-            _emit(text, args.out)
-            return 1
-    text = "\n".join(report + ["all identities verified"]) + "\n"
-    _emit(text, args.out)
-    return 0
+            break
+    report.append("all identities verified" if fail is None else f"FAIL {fail}")
+    _emit("\n".join(report) + "\n", args.out)
+    return 0 if fail is None else 1
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +251,7 @@ def cmd_survey(args) -> int:
     rows, summary = equidist.survey(fld, args.x)
     header = ["two_n", "omega", "Omega", "in_B_flat", "log2_r_star",
               "point_count", "gamma_count", "discrepancy"]
-    table = [[r.two_n, r.omega, r.Omega, r.in_B_flat, r.log2_r_star,
-              r.point_count, r.gamma_count, r.discrepancy] for r in rows]
+    table = [[getattr(r, col) for col in header] for r in rows]
     meta = {
         "x": args.x, "count": summary.count,
         "count_logx_over_2x": summary.count_logx_over_2x,
@@ -401,11 +399,10 @@ def cmd_plot(args) -> int:
         parts.append(f'<circle cx="{_fmt(ox + DC)}" cy="{_fmt(DC)}" r="{_fmt(rim * DS)}" '
                      f'fill="none" stroke="{color}" stroke-width="0.75" '
                      f'class="image-circle"/>\n')
-        n_plus = radius.n_plus
         for pt in circles.lattice_points(radius):
             x, y = pt.xy()
-            px = ox + DC + (x / n_plus) * DS
-            py = DC - (y / n_plus) * DS
+            px = ox + DC + (x / radius.n_plus) * DS
+            py = DC - (y / radius.n_plus) * DS
             parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" '
                          f'fill="{color}" class="disc-point"/>\n')
     parts.append("</svg>\n")

@@ -201,19 +201,17 @@ def survey(fld: Discriminant, X: float, threads: int | None = None
     count = len(rows)
     llx = math.log(math.log(X)) if X > math.e else float("nan")
     degenerate = count < 8 or not (llx > 0)
-    if count:
-        om_q = _quantiles([r.omega / llx for r in rows]) if not degenerate else (0.0, 0.0, 0.0)
+    om_q = rs_q = (0.0, 0.0, 0.0)
+    outlier = f1 = f2 = 0.0
+    if not degenerate:
+        om_q = _quantiles([r.omega / llx for r in rows])
         M_of = lambda r: ((r.two_n + fld.q) // 2) * ((r.two_n - fld.q) // 2)
-        rs_q = (_quantiles([r.log2_r_star / math.log(math.log(M_of(r)))
-                            for r in rows if M_of(r) > 15])
-                if not degenerate else (0.0, 0.0, 0.0))
-        outlier = (sum(not (0.5 * llx <= r.omega <= 1.5 * llx) for r in rows) / count
-                   if not degenerate else 0.0)
+        rs_q = _quantiles([r.log2_r_star / math.log(math.log(M_of(r)))
+                           for r in rows if M_of(r) > 15])
+        outlier = sum(not (0.5 * llx <= r.omega <= 1.5 * llx) for r in rows) / count
+    if count:
         f1 = sum(r.discrepancy <= r.gamma_count ** (-(RATE_EXPONENT - 0.1)) for r in rows) / count
         f2 = sum(r.discrepancy <= r.gamma_count ** (-(RATE_EXPONENT - 0.2)) for r in rows) / count
-    else:
-        om_q = rs_q = (0.0, 0.0, 0.0)
-        outlier = f1 = f2 = 0.0
     ratio = count * math.log(X) / (2 * X) if X > 1 else float("nan")
     return rows, SurveySummary(fld.q, X, count, ratio, om_q, rs_q, outlier,
                                f1, f2, degenerate)

@@ -133,7 +133,8 @@ def inverse_transform_matrix(fld: Discriminant) -> list[list[int]]:
 
 
 def congruence_holds(fld: Discriminant, r: int, u: int, s: int, t: int) -> bool:
-    """The integrality condition on (r,u,s,t), in its reduced per-q form.
+    """The integrality condition on (r,u,s,t), in its reduced per-q form:
+    u + r z_q = t + s z_q (mod sqrt(-q)), as quadfield._unit_blocks shows.
 
     q = 4: r = s and u = t mod 2;  q = 8: r = s mod 2 and u = t mod 4;
     odd q: r + 2u = s + 2t mod q.

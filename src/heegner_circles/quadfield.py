@@ -366,9 +366,7 @@ def enumerate_norm(fld: Discriminant, M: int) -> list[AlgebraicInt]:
     out = []
     rmax = isqrt(4 * M // fld.q)
     for r in range(-rmax, rmax + 1):
-        d = 4 * M - fld.q * r * r
-        if d < 0:
-            continue
+        d = 4 * M - fld.q * r * r   # >= 0: q r^2 <= q (4M // q)
         w = isqrt(d)
         if w * w != d:
             continue
@@ -398,14 +396,23 @@ def _split_coords(fld: Discriminant, p: int) -> tuple[int, int]:
     raise ValueError(f"{p} is not split for q={fld.q}")
 
 
-def _element_coords(fld: Discriminant, M: int,
-                    factors: list[tuple[int, int]] | None = None) -> list[tuple[int, int]]:
-    """(u, r) of every element of norm M, composed from prime elements.
+def _unit_blocks(fld: Discriminant, M: int,
+                 factors: list[tuple[int, int]] | None = None) -> list[list[tuple[int, int]]]:
+    """(u, r) of every element of norm M, one block per unit: that unit times
+    each base element composed from prime elements, products as
+    AlgebraicInt.__mul__; [] when M is not a norm.  Unique factorization makes
+    the blocks hold each of the r_count(M) elements once, at O(r_count(M)) cost.
 
-    Unique factorization makes the unit * product expansion hit every
-    element exactly once, so the result has length r_count(M) with no
-    deduplication.  Cost is O(r_count(M)) after factorizing M.  Order:
-    units outer, composed base inner; products as AlgebraicInt.__mul__.
+    The congruence condition keeps or drops whole blocks.  Let a = (sqrt(-q)):
+    p, p^2, p^3 for odd q, q = 4, q = 8 (p the ramified prime ideal).
+    1. gamma - conj(gamma) = r sqrt(-q) is in a for gamma = u + r z_q, so conj(pi) = pi
+       (mod a), and a base element prod pi^j conj(pi)^(e-j) g^k s (g the ramified generator,
+       s the inert part) is prod pi^e g^k s (mod a): a block lies in one class mod a.
+    2. 2 Re(sqrt(-q) gamma) = sqrt(-q) (gamma - conj(gamma)) = -q r, so elements congruent
+       mod a have equal 2 Re mod q, and 2 Re = 2m (mod q) keeps or drops a whole block.
+    3. halfplane.congruence_holds(r, u, s, t) says u + r z_q = t + s z_q (mod a)
+       (odd q: z_q = 1/2 mod p, so u + r z_q = (2u + r)/2; q = 4: a = 2Z[i];
+       q = 8: a = 4Z + 2 sqrt(-2) Z), so it holds on two blocks' pairs or none.
     """
     if factors is None:
         factors = factorize(M)
@@ -432,13 +439,13 @@ def _element_coords(fld: Discriminant, M: int,
             facs = [_mul(pows[j], cpows[e - j], zn, tm) for j in range(e + 1)]
             base = [_mul(b, f, zn, tm) for b in base for f in facs]
     # _mul written out: this is the one loop that runs once per element
-    return [((uu * bu - ur * br * zn) * scalar, (uu * br + bu * ur + tm * ur * br) * scalar)
-            for uu, ur in _UNIT_COORDS[fld.unit_count] for bu, br in base]
+    return [[((uu * bu - ur * br * zn) * scalar, (uu * br + bu * ur + tm * ur * br) * scalar)
+             for bu, br in base] for uu, ur in _UNIT_COORDS[fld.unit_count]]
 
 
 def elements_of_norm(fld: Discriminant, M: int) -> list[AlgebraicInt]:
-    """All elements of norm M, in the order of _element_coords."""
-    return [AlgebraicInt(u, r, fld) for u, r in _element_coords(fld, M)]
+    """All elements of norm M, in the order of _unit_blocks."""
+    return [AlgebraicInt(u, r, fld) for block in _unit_blocks(fld, M) for u, r in block]
 
 
 def b_indicator(fld: Discriminant, n: int) -> bool:
@@ -484,12 +491,12 @@ def residue_m(fld: Discriminant, M: int) -> int:
 
 def _restricted_coords(fld: Discriminant, M: int,
                        factors: list[tuple[int, int]] | None) -> list[tuple[int, int]]:
-    """(u, r) of the elements of norm M with 2*Re = 2m (mod q), in element order."""
-    els = _element_coords(fld, M, factors)
-    if not els:
+    """(u, r) of the elements of norm M with 2*Re = 2m (mod q): whole unit blocks."""
+    blocks = _unit_blocks(fld, M, factors)
+    if not blocks:
         return []
     m2, q, tm = 2 * residue_m(fld, M), fld.q, fld.two_mu
-    return [(u, r) for u, r in els if (2 * u + tm * r - m2) % q == 0]
+    return [el for b in blocks if (2 * b[0][0] + tm * b[0][1] - m2) % q == 0 for el in b]
 
 
 def restricted_elements(fld: Discriminant, M: int) -> list[AlgebraicInt]:

@@ -114,6 +114,23 @@ class TestPairCounts:
                 assert expect4 % 4 == 0
                 assert len(pairs) == expect4 // 4, (f.q, radius.two_n)
 
+    def test_congruence_tested_once_per_unit_block_pair(self, monkeypatch):
+        calls = []
+        original = circles.congruence_holds
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(circles, "congruence_holds", counted)
+        for q, two_n in ((3, 4000931), (3, 4000949), (4, 1002766), (8, 1000720), (163, 1001595)):
+            f = field(q)
+            radius = Radius(f, two_n)
+            calls.clear()
+            pairs = enumerate_pairs(radius)
+            assert pairs and len(pairs) == len({p.rust for p in pairs}), two_n
+            assert len(calls) <= f.unit_count ** 2, (q, two_n, len(calls))
+
     def test_canonical_sign(self):
         for p in enumerate_pairs(Radius(field(3), 5)):
             rust = p.rust

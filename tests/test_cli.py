@@ -69,17 +69,21 @@ class TestVerify:
         assert "\nFAIL identity q=3: " in out
 
     def test_same_bytes_under_python_O(self):
-        # every check raises IdentityError, so -O (asserts stripped) changes nothing
+        # every check raises IdentityError, so -O (asserts stripped) changes nothing;
+        # check=True makes each run exit 0
         src = os.path.dirname(os.path.dirname(heegner_circles.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         env = dict(os.environ, PYTHONPATH=path)
-        argv = ["-m", "heegner_circles.cli", "verify", "--q", "3", "--max-two-n", "60"]
-        plain, optimized = (
-            subprocess.run([sys.executable, *flags, *argv], env=env,
-                           capture_output=True, check=True).stdout
-            for flags in ([], ["-O"]))
-        assert plain.endswith(b"all identities verified\n")
-        assert optimized == plain
+        for command, tail in ((["verify", "--q", "all", "--max-two-n", "60"],
+                               b"all identities verified\n"),
+                              (["circle", "--q", "3", "--two-n", "5", "--k", "4"],
+                               b"# discrepancy two_n=5 K=4: 0.333333333333 <= et 1.2\n")):
+            plain, optimized = (
+                subprocess.run([sys.executable, *flags, "-m", "heegner_circles.cli", *command],
+                               env=env, capture_output=True, check=True).stdout
+                for flags in ([], ["-O"]))
+            assert plain.endswith(tail), command
+            assert optimized == plain, command
 
 
 class TestCircle:
@@ -224,6 +228,15 @@ class TestSurveyCounts:
         all_split = bnumbers.b_star_count(quadfield.field(3), spec, 100)
         assert code == 0
         assert out.splitlines()[2] == f"100,inf,{all_split},{all_split},,"
+
+    def test_bnumbers_sieve_infinite_z_is_not_json(self, capsys):
+        # RFC 8259 has no Infinity: the JSON view refuses --z inf and prints nothing
+        code = main(["bnumbers", "--q", "3", "--x", "100", "--h", "1", "--z", "inf",
+                     "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        # Python 3.13 appends the value to the message
+        assert err.startswith("bnumbers: Out of range float values are not JSON compliant")
 
     def test_out_of_range_caps(self, capsys):
         assert run(capsys, "survey", "--q", "3", "--x", "2e7")[0] == 2

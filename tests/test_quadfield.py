@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -12,6 +13,8 @@ from sympy import factorint, isprime, nextprime, primerange
 from sympy.functions.combinatorial.numbers import kronecker_symbol
 
 from heegner_circles import quadfield
+from heegner_circles.circles import enumerate_pairs, radii_up_to
+from heegner_circles.halfplane import congruence_holds
 from heegner_circles.quadfield import (CLASS_NUMBER_ONE_Q, AlgebraicInt,
                                        Discriminant, IdentityError, all_fields,
                                        b_indicator, chi, elements_of_norm,
@@ -331,6 +334,44 @@ class TestEnumerateNorm:
             (-5, 11), (-9, 10), (-10, 9), (-11, 5), (-11, 6), (-10, 1), (-9, -1),
             (-5, -6), (-6, -5), (-1, -9), (1, -10), (6, -11), (5, -11), (9, -10),
             (10, -9), (11, -5)]
+
+
+class TestUnitBlocks:
+    """The congruence condition is a choice of unit blocks; the per-element
+    filter and the per-pair loop stay here as oracles."""
+
+    @staticmethod
+    def flat(blocks):
+        return [el for block in blocks for el in block]
+
+    def test_block_is_one_class(self):
+        for f in all_fields():
+            for M in range(1, 10 ** 4):
+                blocks = quadfield._unit_blocks(f, M)
+                assert len(blocks) == (f.unit_count if b_indicator(f, M) else 0), (f.q, M)
+                for block in blocks:
+                    for (u1, r1), (u2, r2) in itertools.combinations(block, 2):
+                        assert congruence_holds(f, r1, u1, r2, u2), (f.q, M)
+                        assert (2 * u1 + f.two_mu * r1 - 2 * u2 - f.two_mu * r2) % f.q == 0
+
+    def test_block_filter_is_element_filter(self):
+        for f in all_fields():
+            for M in range(1, 3 * 10 ** 4):
+                els = self.flat(quadfield._unit_blocks(f, M))
+                m2 = 2 * residue_m(f, M) if els else 0
+                kept = [(u, r) for u, r in els if (2 * u + f.two_mu * r - m2) % f.q == 0]
+                assert quadfield._restricted_coords(f, M, None) == kept, (f.q, M)
+
+    def test_block_pairs_are_element_pairs(self):
+        for f in all_fields():
+            for radius in radii_up_to(f, 2 * 10 ** 4):
+                f_minus, f_plus = radius.factors
+                seconds = self.flat(quadfield._unit_blocks(f, radius.n_minus, f_minus))
+                found = [(r, u, s, t)
+                         for u, r in self.flat(quadfield._unit_blocks(f, radius.n_plus, f_plus))
+                         if (r, u) > (0, 0)
+                         for t, s in seconds if congruence_holds(f, r, u, s, t)]
+                assert [p.rust for p in enumerate_pairs(radius)] == sorted(found), radius.two_n
 
 
 class TestBIndicator:
