@@ -16,6 +16,7 @@ library's own calls never run them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from math import gcd, isqrt
@@ -45,8 +46,7 @@ class Radius:
             raise ValueError(f"two_n={self.two_n} invalid for q={q}")
         object.__setattr__(self, "n_plus", (self.two_n + q) // 2)
         object.__setattr__(self, "n_minus", (self.two_n - q) // 2)
-        ram = self.field.ramified_prime
-        object.__setattr__(self, "c4", 2 if self.n_minus % ram == 0 else 1)
+        object.__setattr__(self, "c4", 2 if self.n_minus % self.field.ramified_prime == 0 else 1)
 
     @property
     def norm_product(self) -> int:
@@ -131,7 +131,12 @@ class SplitPair:
 
 
 def radii_up_to(fld: Discriminant, x: float) -> list[Radius]:
-    """All radii with 2R <= 2x whose circle is nonempty, ascending.
+    """All radii with 2R <= 2x whose circle is nonempty, ascending."""
+    return list(iter_radii(fld, x))
+
+
+def iter_radii(fld: Discriminant, x: float) -> Iterator[Radius]:
+    """radii_up_to, one radius at a time; x below q/2 raises at once.
 
     A candidate two_n = 2m + q carries points iff n_minus = m and
     n_plus = m + q are both norms; one streamed pair sieve with shift q
@@ -141,8 +146,8 @@ def radii_up_to(fld: Discriminant, x: float) -> list[Radius]:
     if x < q / 2:
         raise ValueError("x below the minimal radius q/2")
     top = (int(2 * x) - q) // 2   # the largest n_minus
-    return [Radius(fld, 2 * m + q) for start, pair in _pair_blocks(fld, 1, top + 1, q)
-            for m in (np.flatnonzero(pair) + start).tolist()]
+    return (Radius(fld, 2 * m + q) for start, pair in _pair_blocks(fld, 1, top + 1, q)
+            for m in (np.flatnonzero(pair) + start).tolist())
 
 
 def enumerate_pairs(radius: Radius) -> list[SplitPair]:
@@ -156,7 +161,7 @@ def enumerate_pairs(radius: Radius) -> list[SplitPair]:
     for block in _unit_blocks(fld, radius.n_plus, f_plus):
         # n_plus >= 1: (r, u) alone fixes the sign class
         canonical = [(r, u) for u, r in block if (r, u) > (0, 0)]
-        for other in seconds:
+        for other in seconds if canonical else ():
             if congruence_holds(fld, block[0][1], block[0][0], other[0][1], other[0][0]):
                 found += [(r, u, s, t) for r, u in canonical for t, s in other]
     out = [SplitPair(AlgebraicInt(u, r, fld), AlgebraicInt(t, s, fld))

@@ -7,6 +7,7 @@ output.  Exit codes: 0 success, 1 a verified identity failed, 2 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import random
@@ -26,12 +27,14 @@ PALETTE = ("#e858a2", "#a8653a", "#3c6fd1", "#3ba05d", "#8458c9",
 # ---------------------------------------------------------------------------
 # Output plumbing
 
+def _opened(out: str | None):
+    return (contextlib.nullcontext(sys.stdout) if out is None or out == "-"
+            else open(out, "w", encoding="utf-8", newline=""))
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+    with _opened(out) as f:
+        f.write(text)
 
 
 def _cell(v) -> str:
@@ -42,27 +45,31 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _emit_table(args, schema: str, q, header: list[str], rows: list[list],
-                meta: dict | None = None, trailer: list[str] | None = None) -> None:
+def _emit_table(args, schema: str, q, header: list[str], rows, meta=None,
+                trailer: list[str] | None = None) -> None:
     """Write one table in args.format to args.out.
 
     JSON: {"meta": {q, command, version, **meta}, "rows": [...]}.  CSV: the
-    schema comment, the header and the rows, then one "# " comment line per
-    trailer entry; the trailer defaults to meta as "key: value" lines.
+    schema comment, the header and the rows, each row written as it is
+    read, then one "# " comment line per trailer entry; the trailer defaults
+    to meta as "key: value" lines.  rows is any iterable of sequences; meta
+    is a dict, or a function returning one that is called after the rows.
     """
-    meta = meta or {}
     if args.format == "json":
-        doc = {"meta": {"q": q, "command": schema, "version": SCHEMA_VERSION, **meta},
-               "rows": [dict(zip(header, row)) for row in rows]}
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-    else:
+        rows = [dict(zip(header, row)) for row in rows]   # before meta: it may need every row
+        meta = (meta() if callable(meta) else meta) or {}
+        doc = {"meta": {"q": q, "command": schema, "version": SCHEMA_VERSION, **meta}, "rows": rows}
+        _emit(json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n",
+              args.out)
+        return
+    with _opened(args.out) as f:
+        f.write(f"# schema: {schema} v{SCHEMA_VERSION}\n" + ",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_cell(v) for v in row) + "\n")
+        meta = (meta() if callable(meta) else meta) or {}
         if trailer is None:
             trailer = [f"{k}: {_cell(v)}" for k, v in meta.items()]
-        lines = [f"# schema: {schema} v{SCHEMA_VERSION}", ",".join(header)]
-        lines += [",".join(_cell(v) for v in row) for row in rows]
-        lines += [f"# {line}" for line in trailer]
-        text = "".join(line + "\n" for line in lines)
-    _emit(text, args.out)
+        f.write("".join(f"# {line}\n" for line in trailer))
 
 
 def _selected_fields(qflag: str) -> list[Discriminant]:
@@ -206,9 +213,7 @@ def cmd_circle(args) -> int:
         raise ValueError("--two-n capped at 10^9")
     if args.k is not None and args.k > 10 ** 4:
         raise ValueError("--k capped at 10^4")
-    notes = []
-    rows = []
-    bounds = []
+    notes, rows, bounds = [], [], []
     for two_n in args.two_n:
         if (two_n - fld.q) % 2:
             raise ValueError(f"two_n={two_n} has wrong parity for q={fld.q}")
@@ -248,21 +253,16 @@ def cmd_survey(args) -> int:
     if args.x > 10 ** 7:
         raise ValueError("--x capped at 10^7")
     fld = field(int(args.q))
-    rows, summary = equidist.survey(fld, args.x)
+    stream = equidist.SurveyStream(fld, args.x)
     header = ["two_n", "omega", "Omega", "in_B_flat", "log2_r_star",
               "point_count", "gamma_count", "discrepancy"]
-    table = [[getattr(r, col) for col in header] for r in rows]
-    meta = {
-        "x": args.x, "count": summary.count,
-        "count_logx_over_2x": summary.count_logx_over_2x,
-        "omega_quantiles": list(summary.omega_quantiles),
-        "log2_rstar_quantiles": list(summary.log2_rstar_quantiles),
-        "omega_outlier_fraction": summary.omega_outlier_fraction,
-        "frac_fast_eps01": summary.frac_fast_eps01,
-        "frac_fast_eps02": summary.frac_fast_eps02,
-        "degenerate": summary.degenerate,
-    }
-    _emit_table(args, "survey", fld.q, header, table, meta)
+
+    def meta() -> dict:   # the summary's fields after q and X, its tuples as lists
+        fields = list(vars(stream.summary).items())[2:]
+        return {"x": args.x, **{k: list(v) if isinstance(v, tuple) else v for k, v in fields}}
+
+    rows = (tuple(getattr(r, col) for col in header) for r in stream)
+    _emit_table(args, "survey", fld.q, header, rows, meta)
     return 0
 
 
@@ -460,6 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if math.isnan(getattr(args, "x", 0.0)):   # NaN passes every cap unseen
+            raise ValueError("--x must be a number")
         return args.fn(args)
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

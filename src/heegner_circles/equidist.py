@@ -6,10 +6,12 @@ hyperbolic circle count.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .bnumbers import integers_form, r_count_array
-from .circles import Radius, brute_force_by_radius, radii_up_to, stabilizer_size
+from .circles import Radius, brute_force_by_radius, iter_radii, stabilizer_size
 # factorize is not called here; bench/test_bench.py checks that the tracer
 # rewraps it in this namespace too
 from .quadfield import (Discriminant, IdentityError, chi, factorize,
@@ -174,47 +176,60 @@ class SurveySummary:
     degenerate: bool         # too few rows for the quantiles to mean much
 
 
-def _survey_row(radius: Radius) -> SurveyRow:
-    split = [e for p, e in radius.norm_factors if chi(radius.field, p) == 1]
-    angs = _radius_angles(radius)
-    return SurveyRow(radius.two_n, len(split), sum(split), radius.c4 == 1,
-                     math.log2(len(angs)), len(angs), gamma_count(radius),
-                     circle_discrepancy(angs))
-
-
-def _quantiles(vals: list[float]) -> tuple[float, float, float]:
+def _quantiles(vals) -> tuple[float, float, float]:
     s = sorted(vals)
     n = len(s)
     return (s[n // 4], s[n // 2], s[(3 * n) // 4])
 
 
+class SurveyStream:
+    """The survey of all radii n <= X, one row at a time: iterating yields
+    each SurveyRow as it is made and keeps only what the summary needs, two
+    float columns and three counts; .summary is set once the rows run out."""
+
+    def __init__(self, fld: Discriminant, X: float) -> None:
+        if X < fld.q / 2:
+            raise ValueError("X below the minimal radius")
+        self.fld, self.X, self.summary = fld, X, None
+
+    def __iter__(self) -> Iterator[SurveyRow]:
+        fld, X = self.fld, self.X
+        llx = math.log(math.log(X)) if X > math.e else float("nan")
+        om_col, rs_col = array("d"), array("d")
+        outliers = fast1 = fast2 = 0
+        for radius in iter_radii(fld, X):
+            split = [e for p, e in radius.norm_factors if chi(fld, p) == 1]
+            angs = _radius_angles(radius)
+            row = SurveyRow(radius.two_n, len(split), sum(split), radius.c4 == 1,
+                            math.log2(len(angs)), len(angs), gamma_count(radius),
+                            circle_discrepancy(angs))
+            om_col.append(row.omega)
+            if radius.norm_product > 15:
+                rs_col.append(row.log2_r_star / math.log(math.log(radius.norm_product)))
+            outliers += not (0.5 * llx <= row.omega <= 1.5 * llx)
+            fast1 += row.discrepancy <= row.gamma_count ** (-(RATE_EXPONENT - 0.1))
+            fast2 += row.discrepancy <= row.gamma_count ** (-(RATE_EXPONENT - 0.2))
+            yield row
+        count = len(om_col)
+        degenerate = count < 8 or not (llx > 0)
+        om_q = rs_q = (0.0, 0.0, 0.0)
+        outlier = 0.0
+        if not degenerate:
+            # x -> x / llx is monotone, so the quantiles of omega / llx are omega's over llx
+            om_q = tuple(v / llx for v in _quantiles(om_col))
+            rs_q, outlier = _quantiles(rs_col), outliers / count
+        f1, f2 = (fast1 / count, fast2 / count) if count else (0.0, 0.0)
+        ratio = count * math.log(X) / (2 * X) if X > 1 else float("nan")
+        self.summary = SurveySummary(fld.q, X, count, ratio, om_q, rs_q, outlier,
+                                     f1, f2, degenerate)
+
+
 def survey(fld: Discriminant, X: float, threads: int | None = None
            ) -> tuple[list[SurveyRow], SurveySummary]:
-    """Per-radius rows over all radii n <= X, with distribution aggregates.
-
-    The survey runs serially; threads is ignored and kept only so that
-    existing callers keep working.
-    """
-    if X < fld.q / 2:
-        raise ValueError("X below the minimal radius")
-    rows = [_survey_row(radius) for radius in radii_up_to(fld, X)]
-    count = len(rows)
-    llx = math.log(math.log(X)) if X > math.e else float("nan")
-    degenerate = count < 8 or not (llx > 0)
-    om_q = rs_q = (0.0, 0.0, 0.0)
-    outlier = f1 = f2 = 0.0
-    if not degenerate:
-        om_q = _quantiles([r.omega / llx for r in rows])
-        M_of = lambda r: ((r.two_n + fld.q) // 2) * ((r.two_n - fld.q) // 2)
-        rs_q = _quantiles([r.log2_r_star / math.log(math.log(M_of(r)))
-                           for r in rows if M_of(r) > 15])
-        outlier = sum(not (0.5 * llx <= r.omega <= 1.5 * llx) for r in rows) / count
-    if count:
-        f1 = sum(r.discrepancy <= r.gamma_count ** (-(RATE_EXPONENT - 0.1)) for r in rows) / count
-        f2 = sum(r.discrepancy <= r.gamma_count ** (-(RATE_EXPONENT - 0.2)) for r in rows) / count
-    ratio = count * math.log(X) / (2 * X) if X > 1 else float("nan")
-    return rows, SurveySummary(fld.q, X, count, ratio, om_q, rs_q, outlier,
-                               f1, f2, degenerate)
+    """SurveyStream's rows over all radii n <= X, as a list, and its summary.
+    The survey runs serially; threads is ignored, kept for existing callers."""
+    stream = SurveyStream(fld, X)
+    return list(stream), stream.summary
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,8 @@ class UnimodularMatrix:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant of {(self.a, self.b, self.c, self.d)} is not 1")
         if not (self.c > 0 or (self.c == 0 and self.d > 0)):
-            object.__setattr__(self, "a", -self.a)
-            object.__setattr__(self, "b", -self.b)
-            object.__setattr__(self, "c", -self.c)
-            object.__setattr__(self, "d", -self.d)
+            for k in "abcd":
+                object.__setattr__(self, k, -getattr(self, k))
 
     @classmethod
     def identity(cls) -> "UnimodularMatrix":

@@ -166,7 +166,8 @@ def chi(fld: Discriminant, n: int) -> int:
     """The real character of the field: +1 split, -1 inert, 0 ramified.
     -q is a fundamental discriminant, so (-q / n) is periodic modulo chi_period
     on all integers n and a table lookup is exact."""
-    return _CHI_TABLES[fld.q][n % chi_period(fld)]
+    t = _CHI_TABLES[fld.q]
+    return t[n % len(t)]
 
 
 def chi_period(fld: Discriminant) -> int:
@@ -228,14 +229,18 @@ def prime_table(bound: int = _PRIME_TABLE_LIMIT) -> np.ndarray:
     return _prime_table[:np.searchsorted(_prime_table, bound, side="right")]
 
 
-def _spf() -> np.ndarray:
+def _spf(n: int) -> np.ndarray:
+    """The SPF table through n < 2^21, sized to the next power of two above the largest n
+    asked for so far; a growth at least doubles it, so all builds cost under twice the last."""
     global _spf_table
-    if _spf_table is None:
-        # every n starts as its own factor; each prime p <= sqrt(limit) then
+    if _spf_table is None or len(_spf_table) <= n:
+        size = min(_SPF_LIMIT, 1 << int(n).bit_length())
+        _spf_table = None   # let the old table go before the new one is built
+        # every n starts as its own factor; each prime p <= sqrt(size) then
         # claims its multiples from p^2 on, the largest prime first, so the
         # smallest prime factor writes last
-        spf = np.arange(_SPF_LIMIT + 1, dtype=np.int32)
-        for p in _eratosthenes(isqrt(_SPF_LIMIT))[::-1].tolist():
+        spf = np.arange(size + 1, dtype=np.int32)
+        for p in _eratosthenes(isqrt(size))[::-1].tolist():
             spf[p * p::p] = p
         _spf_table = spf
     return _spf_table
@@ -292,7 +297,7 @@ def _pollard_rho(n: int) -> int:
 
 def _spf_factors(n: int) -> list[tuple[int, int]]:
     """factorize(n) for 1 <= n < 2^21, by the SPF table."""
-    spf = _spf()
+    spf = _spf(n)
     out: list[tuple[int, int]] = []
     while n > 1:
         p = int(spf[n])

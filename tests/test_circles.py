@@ -11,9 +11,10 @@ from heegner_circles.circles import (CirclePoint, Radius, angles,
                                      brute_force_matrices, enumerate_pairs,
                                      lattice_points, pairs_to_matrices,
                                      radii_up_to, stabilizer_size)
-from heegner_circles.halfplane import arithmetic_radius, split_coordinates
+from heegner_circles.halfplane import arithmetic_radius, congruence_holds, split_coordinates
 from heegner_circles.quadfield import (IdentityError, all_fields, b_indicator,
-                                       factorize, field, r_count, r_star, v_k)
+                                       factorize, field, r_count, r_star, v_k,
+                                       _unit_blocks)
 
 
 def per_candidate_radii(f, lo_two_n, hi_two_n):
@@ -21,6 +22,18 @@ def per_candidate_radii(f, lo_two_n, hi_two_n):
     q = f.q
     return [tn for tn in range(lo_two_n, hi_two_n + 1, 2)
             if b_indicator(f, (tn + q) // 2) and b_indicator(f, (tn - q) // 2)]
+
+
+def every_block_pair(radius):
+    """enumerate_pairs' (r, u, s, t), sorted, with every pair of unit blocks tested."""
+    f = radius.field
+    f_minus, f_plus = radius.factors
+    out = []
+    for block in _unit_blocks(f, radius.n_plus, f_plus):
+        for other in _unit_blocks(f, radius.n_minus, f_minus):
+            if congruence_holds(f, block[0][1], block[0][0], other[0][1], other[0][0]):
+                out += [(r, u, s, t) for u, r in block if (r, u) > (0, 0) for t, s in other]
+    return sorted(out)
 
 
 class TestRadius:
@@ -130,6 +143,25 @@ class TestPairCounts:
             pairs = enumerate_pairs(radius)
             assert pairs and len(pairs) == len({p.rust for p in pairs}), two_n
             assert len(calls) <= f.unit_count ** 2, (q, two_n, len(calls))
+
+    def test_congruence_skips_blocks_without_canonical_elements(self, monkeypatch):
+        calls = []
+        original = circles.congruence_holds
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(circles, "congruence_holds", counted)
+        enumerate_pairs(Radius(field(3), 5))
+        # six plus-side blocks of one element each, three of them canonical
+        assert len(calls) == 18
+        for f in all_fields():
+            calls.clear()
+            radii = radii_within(f, 100)
+            got = [[p.rust for p in enumerate_pairs(r)] for r in radii]
+            assert len(calls) <= f.unit_count ** 2 * len(radii), f.q
+            assert got == [every_block_pair(r) for r in radii], f.q
 
     def test_canonical_sign(self):
         for p in enumerate_pairs(Radius(field(3), 5)):

@@ -77,7 +77,10 @@ class TestVerify:
         for command, tail in ((["verify", "--q", "all", "--max-two-n", "60"],
                                b"all identities verified\n"),
                               (["circle", "--q", "3", "--two-n", "5", "--k", "4"],
-                               b"# discrepancy two_n=5 K=4: 0.333333333333 <= et 1.2\n")):
+                               b"# discrepancy two_n=5 K=4: 0.333333333333 <= et 1.2\n"),
+                              (["survey", "--q", "3", "--x", "3000"], b"# degenerate: 0\n"),
+                              (["survey", "--q", "3", "--x", "3000", "--format", "json"],
+                               b"]}\n")):
             plain, optimized = (
                 subprocess.run([sys.executable, *flags, "-m", "heegner_circles.cli", *command],
                                env=env, capture_output=True, check=True).stdout
@@ -185,6 +188,69 @@ class TestSurveyCounts:
         assert code == 0
         assert out.startswith("# schema: survey v1\n")
         assert "# count:" in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_streamed_survey_prints_the_list_path(self, capsys, fmt):
+        # the list path: every row held, the summary, then the whole table at once
+        header = ["two_n", "omega", "Omega", "in_B_flat", "log2_r_star",
+                  "point_count", "gamma_count", "discrepancy"]
+        for f in quadfield.all_fields():
+            code, out = run(capsys, "survey", "--q", str(f.q), "--x", "3000", "--format", fmt)
+            rows, s = equidist.survey(f, 3000.0)
+            table = [[getattr(r, col) for col in header] for r in rows]
+            meta = {"x": 3000.0, "count": s.count, "count_logx_over_2x": s.count_logx_over_2x,
+                    "omega_quantiles": list(s.omega_quantiles),
+                    "log2_rstar_quantiles": list(s.log2_rstar_quantiles),
+                    "omega_outlier_fraction": s.omega_outlier_fraction,
+                    "frac_fast_eps01": s.frac_fast_eps01, "frac_fast_eps02": s.frac_fast_eps02,
+                    "degenerate": s.degenerate}
+            if fmt == "json":
+                doc = {"meta": {"q": f.q, "command": "survey", "version": "1", **meta},
+                       "rows": [dict(zip(header, row)) for row in table]}
+                want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+            else:
+                lines = ["# schema: survey v1", ",".join(header)]
+                lines += [",".join(cli._cell(v) for v in row) for row in table]
+                lines += [f"# {k}: {cli._cell(v)}" for k, v in meta.items()]
+                want = "".join(line + "\n" for line in lines)
+            assert code == 0 and len(rows) > 8 and out == want, f.q
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_survey_identity_error_mid_stream_exits_one(self, capsys, monkeypatch, fmt):
+        original, seen = equidist.gamma_count, []
+
+        def fails_on_the_fifth(radius):
+            seen.append(radius)
+            if len(seen) == 5:
+                raise quadfield.IdentityError("injected")
+            return original(radius)
+
+        monkeypatch.setattr(equidist, "gamma_count", fails_on_the_fifth)
+        code = main(["survey", "--q", "3", "--x", "3000", "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "survey: identity failed: injected\n")
+        # CSV has written the schema, the header and the four rows before it;
+        # JSON writes nothing before the summary
+        assert len(out.splitlines()) == (6 if fmt == "csv" else 0)
+        assert "# count:" not in out
+
+    @pytest.mark.parametrize("x", ["2e7", "10"])
+    def test_survey_usage_error_writes_no_out_file(self, capsys, tmp_path, x):
+        path = tmp_path / "rows.csv"
+        assert run(capsys, "survey", "--q", "163", "--x", x, "--out", str(path))[0] == 2
+        assert not path.exists()
+
+    def test_survey_sizes_the_spf_table_to_its_norms(self):
+        # in a fresh process: n_plus <= 30002 needs a table of 2^15 entries, not 2^21
+        src = os.path.dirname(os.path.dirname(heegner_circles.__file__))
+        prog = ("import contextlib, io\n"
+                "from heegner_circles import cli, quadfield\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cli.main(['survey', '--q', '3', '--x', '3e4'])\n"
+                "print(code, len(quadfield._spf_table))\n")
+        out = subprocess.run([sys.executable, "-c", prog], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert out[0] == "0" and int(out[1]) <= (1 << 16) + 1
 
     def test_count_exact(self, capsys):
         code, out = run(capsys, "count", "--q", "3", "--x", "100")
@@ -420,6 +486,9 @@ USAGE_ERRORS = [
     # where factorize stops being exact
     (["bnumbers", "--q", "7", "--x", "10", "--h", "1000000003", "--s", "2.5"],
      "bnumbers: factorize is exact only below 3317044064679887385961981"),
+    (["survey", "--q", "3", "--x", "nan"], "survey: --x must be a number"),
+    (["count", "--q", "3", "--x", "nan"], "count: --x must be a number"),
+    (["bnumbers", "--q", "3", "--x", "nan", "--h", "1"], "bnumbers: --x must be a number"),
     (["plot", "--q", "11", "--two-n", f"29,{10 ** 9 + 1}"], "plot: --two-n capped at 10^9"),
     (["plot", "--q", "11", "--two-n", "3"], "plot: invalid two_n=3 for q=11"),
 ]
@@ -430,7 +499,8 @@ USAGE_ERRORS = [
                               "circle-parity", "survey-cap", "count-cap", "bnumbers-cap",
                               "sieve-x-cap", "bnumbers-h-cap", "bnumbers-negative-h-cap",
                               "sieve-x-below-1", "sieve-z", "sieve-s", "sieve-z-nan",
-                              "sieve-s-nan", "sieve-s-inf", "sieve-past-psi13", "plot-cap",
+                              "sieve-s-nan", "sieve-s-inf", "sieve-past-psi13", "survey-x-nan",
+                              "count-x-nan", "bnumbers-x-nan", "plot-cap",
                               "plot-invalid"])
 def test_usage_error(capsys, argv, message):
     code = main(argv)

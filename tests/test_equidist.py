@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +342,23 @@ class TestSurvey:
             assert r.point_count == len(lattice_points(radius))
             assert r.gamma_count == gamma_count(radius)
             assert r.in_B_flat == (math.gcd(r.two_n // (2 - q % 2), q) == 1)
+
+    def test_stream_holds_no_rows(self):
+        # past the first rows a stream's traced memory grows by its two summary
+        # columns (16 bytes a row); holding the rows costs about 250 bytes a row
+        f = field(3)
+        for _ in equidist.SurveyStream(f, 20000):   # warm the caches and the SPF table
+            pass
+        tracemalloc.start()
+        try:
+            for i, _row in enumerate(equidist.SurveyStream(f, 20000), start=1):
+                if i == 100:
+                    base = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+            growth = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert i > 1000 and growth / (i - 100) < 100
 
     def test_rate_exponent_value(self):
         assert abs(RATE_EXPONENT - math.log(math.pi / 2) / math.log(2)) < 1e-15

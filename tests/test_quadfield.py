@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from math import gcd, isqrt
 
 import numpy as np
@@ -241,7 +242,7 @@ class TestFactorize:
 
     def test_spf_table_holds_the_smallest_prime_factor(self, monkeypatch):
         monkeypatch.setattr(quadfield, "_spf_table", None)
-        spf = quadfield._spf()
+        spf = quadfield._spf((1 << 21) - 1)   # the largest n it serves: the full table
         assert spf.dtype == np.int32 and len(spf) == (1 << 21) + 1
         assert spf[:2].tolist() == [0, 1]
         for n in [*range(2, 5000), 1448 ** 2, 1447 ** 2, 1439 * 1447, (1 << 21) - 1, 1 << 21]:
@@ -254,6 +255,40 @@ class TestFactorize:
         assert np.all(primes[p]) and np.all(n % p == 0)
         assert np.array_equal(p == n, primes[2:])
         assert np.all(p[~primes[2:]] ** 2 <= n[~primes[2:]])
+
+    def test_factorize_at_each_spf_table_size(self, monkeypatch):
+        # ascending n grows the table across every power of two up to its cap
+        monkeypatch.setattr(quadfield, "_spf_table", None)
+        for k in range(1, 22):
+            for n in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+                assert factorize(n) == sorted(factorint(n).items()), n
+
+    def test_spf_table_grows_to_the_next_power_of_two(self, monkeypatch):
+        monkeypatch.setattr(quadfield, "_spf_table", None)
+        sizes, largest = [], 0
+        for n in (1, 3, 2, 7, 8, 100, 64, 1000, 5000, 4096, 70000, 1 << 20, (1 << 21) - 1, 9):
+            largest = max(largest, n)
+            size = len(quadfield._spf(n)) - 1
+            # a power of two through the largest n so far, at most twice it
+            assert size & (size - 1) == 0 and largest <= size <= min(1 << 21, 2 * largest), n
+            if not sizes or sizes[-1] != size:
+                sizes.append(size)
+        # each build at least doubles the table, so all builds cost under twice the last
+        assert sizes[-1] == 1 << 21 and sum(sizes) < 2 * sizes[-1]
+
+    def test_spf_growth_lets_the_old_table_go_first(self, monkeypatch):
+        monkeypatch.setattr(quadfield, "_spf_table", None)
+        old = weakref.ref(quadfield._spf(100))
+        alive_at_build = []
+        sieve = quadfield._eratosthenes
+
+        def watched(bound):
+            alive_at_build.append(old() is not None)
+            return sieve(bound)
+
+        monkeypatch.setattr(quadfield, "_eratosthenes", watched)
+        assert len(quadfield._spf(5000)) == (1 << 13) + 1
+        assert alive_at_build == [False] and old() is None
 
     def test_factorize_never_sieves_the_prime_table(self, monkeypatch):
         monkeypatch.setattr(quadfield, "_prime_table", None)
