@@ -8,9 +8,9 @@ and evaluates the sifted counts that split such a progression by the
 number of large inert prime factors.
 
 Both the indicator and the sifted counts come from one numpy block sieve
-over a linear form a*j + b (`_LinearForm`): the root of a*j + b = 0
-(mod p^k) is solved once per prime power, and every term that p^k divides
-is a strided slice of the block.  No term is factorized one at a time.
+over a linear form a*j + b (`_LinearForm`): the root of a*j + b = 0 is solved
+once per prime, modulo the prime's largest power <= top, and the terms each power
+divides are a strided slice of the block.  No term is factorized one at a time.
 """
 from __future__ import annotations
 
@@ -55,27 +55,23 @@ def classify(fld: Discriminant, n: int) -> Classification:
 class _LinearForm:
     """The terms a*j + b, sieved block by block by a fixed set of primes.
 
-    For every prime power p^k <= top the congruence a*j + b = 0 (mod p^k)
-    is solved once; its root r gives the terms p^k divides as the strided
-    slice j = r, r + p^k, ...  With gcd(a, b) = 1, a prime dividing a
-    divides no term.
+    Two int64 arrays: the primes p <= top that do not divide a (with gcd(a, b)
+    = 1 those divide no term), and for each the root r of a*j + b = 0 modulo
+    its largest power P <= top.  The root modulo each smaller power p^k is
+    r mod p^k, and the terms p^k divides are the strided slice j = r, r + p^k, ...
     """
 
     def __init__(self, a: int, b: int, primes, top: int) -> None:
         if gcd(a, b) != 1:
             raise IdentityError(f"linear form {a}*j + {b} has a common factor")
         self.a, self.b, self.top = a, b, top
-        self.roots: list[tuple[int, list[tuple[int, int]]]] = []
-        for p in primes:
-            p = int(p)
-            if a % p == 0:
-                continue
-            powers = []
-            pk = p
-            while pk <= top:
-                powers.append((pk, -b * pow(a, -1, pk) % pk))
-                pk *= p
-            self.roots.append((p, powers))
+        primes = np.asarray(primes, dtype=np.int64)
+        self.primes = primes[(primes <= top) & (a % primes != 0)]
+        powers, room = self.primes.copy(), top // self.primes
+        while (grow := powers <= room).any():   # P * p itself may pass 2^63
+            powers[grow] *= self.primes[grow]
+        self.roots = np.fromiter((-b * pow(a, -1, P) % P for P in powers.tolist()),
+                                 np.int64, len(powers))
 
     def values(self, lo: int, n: int) -> np.ndarray:
         """The terms at j = lo, ..., lo + n - 1 as int64."""
@@ -86,16 +82,18 @@ class _LinearForm:
         """(p, [(start, p^k), ...]) for each prime dividing a term of the
         block j in [lo, lo + n): p^k divides exactly the terms at offsets
         start, start + p^k, ... in the block, and the list stops at the
-        first power that divides none."""
-        for p, powers in self.roots:
-            slices = []
-            for pk, r in powers:
-                start = (r - lo) % pk
-                if start >= n:
-                    break
+        first power that divides none.  One vectorized test picks the primes
+        with a start below n, and only those walk their powers."""
+        starts = (self.roots - lo) % self.primes
+        hit = starts < n
+        for p, r, start in zip(self.primes[hit].tolist(), self.roots[hit].tolist(),
+                               starts[hit].tolist()):
+            slices = [(start, p)]
+            pk = p * p
+            while pk <= self.top and (start := (r - lo) % pk) < n:
                 slices.append((start, pk))
-            if slices:
-                yield p, slices
+                pk *= p
+            yield p, slices
 
 
 def _odd_exponent(odd: np.ndarray, slices: list[tuple[int, int]], n: int) -> None:
@@ -138,8 +136,7 @@ def _pair_blocks(fld: Discriminant, lo: int, hi: int, h: int):
     the next, so memory is O(2^20 + |h|) over any range."""
     d, s, top = abs(h), lo + min(h, 0), hi + max(h, 0) - 1
     small = quadfield.prime_table(isqrt(max(top, 0)))
-    inert = small[chi_table(fld)[small % chi_period(fld)] == -1]
-    form = _LinearForm(1, 0, [fld.ramified_prime, *inert], top)
+    form = _LinearForm(1, 0, small[chi_table(fld)[small % chi_period(fld)] < 1], top)
     window = np.zeros(0, dtype=bool)   # the indicators of [s, s + len)
     for b in range(s, top + 1, _SEGMENT):
         window = np.concatenate(
@@ -208,8 +205,8 @@ def shifted_count(fld: Discriminant, x: float, h: int) -> int:
 
 def _shifted_counts(fld: Discriminant, xs: list[float], h: int) -> list[int]:
     """shifted_count at every x of xs, from one pass of the pair sieve."""
-    if min(xs) < 1:
-        raise ValueError("x >= 1 required")
+    if not all(1 <= x < math.inf for x in xs):
+        raise ValueError("finite x >= 1 required")
     counts = [0] * len(xs)
     for start, pair in _pair_blocks(fld, max(1, 1 - h), math.floor(max(xs)) + 1, h):
         for i, x in enumerate(xs):
@@ -350,6 +347,8 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
     """
     if fld != spec.field:
         raise ValueError(f"progression of q={spec.field.q} sifted in q={fld.q}")
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite, not {y}")
     Y = int(math.floor(y))
     if Y < 1:
         return SiftedDecomposition(0, 0, 0, 0, 0)
@@ -364,7 +363,6 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
     primes = quadfield.prime_table(isqrt(top))
     per = chi_period(fld)
     table = chi_table(fld)
-    inert = set(primes[table[primes % per] == -1].tolist())
     forms = (_LinearForm(spec.n1 // d, spec.n0 // d, primes, top),
              _LinearForm(spec.n1, spec.n0 + spec.h_normalized, primes, top))
     counts = np.zeros(7, dtype=np.int64)   # sifted terms by inert count 0..6+
@@ -377,7 +375,7 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
             for p, slices in form.hits(lo, n):
                 for start, pk in slices:
                     rem[start::pk] //= p
-                if p in inert:
+                if table[p % per] == -1:
                     for start, pk in slices:
                         count[start::pk] += 1
                     if p < z:
@@ -402,7 +400,7 @@ def b_star_count(fld: Discriminant, spec: ProgressionSpec, y: float) -> int:
 
 def sifted_count(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> int:
     """Indices j <= y whose reduced product has no inert prime below z."""
-    if z <= 2:
+    if not z > 2:   # NaN fails every comparison
         raise ValueError("z > 2 required")
     return _sift(fld, spec, y, z).sifted
 

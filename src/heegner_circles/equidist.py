@@ -316,8 +316,8 @@ def circle_problem_sum(fld: Discriminant, x: float) -> CircleSumResult:
     is accumulated and checked divisible.  At x <= 10^3 the total is also
     checked against direct_cosh_count, the brute-force matrix count.
     """
-    if x < 1:
-        raise ValueError("x >= 1 required")
+    if not 1 <= x < math.inf:
+        raise ValueError("finite x >= 1 required")
     q = fld.q
     lim = int(math.floor(q * x + 1e-9))
     top = (lim - q) // 2   # the largest n_minus

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from math import isqrt
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 from sympy.functions.combinatorial.numbers import kronecker_symbol
 
-from heegner_circles import bnumbers, equidist
+from heegner_circles import bnumbers, equidist, quadfield
 from heegner_circles.bnumbers import (Classification, SiftedDecomposition,
                                       _sift, build_progression, b_star_count,
                                       classify, integers_form,
@@ -114,6 +115,11 @@ class TestShiftedCount:
         xs += list(range(x // 7, x + 1, x // 7))
         assert bnumbers._shifted_counts(f, xs, h) == [shifted_count(f, v, h) for v in xs]
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan, -math.inf])
+    def test_rejects_a_non_finite_x(self, x):
+        with pytest.raises(ValueError, match="finite x >= 1"):
+            shifted_count(field(4), x, 1)
+
     def test_memory_does_not_grow_with_x(self):
         # tracemalloc sees numpy's buffers: the sieve holds O(block) bytes
         f = field(4)
@@ -215,6 +221,13 @@ class TestBStarCount:
                                       else -sp.h_normalized)
 
 
+#: The three public sieve entry points, each as count(fld, spec, y).
+SIFT_ENTRY_POINTS = pytest.mark.parametrize(
+    "count", [b_star_count, lambda f, sp, y: sifted_count(f, sp, y, 2.5),
+              lambda f, sp, y: sifted_decomposition(f, sp, y, 2.5)],
+    ids=["b_star_count", "sifted_count", "sifted_decomposition"])
+
+
 class TestSiftedCount:
     def test_empty_sieve_counts_everything(self):
         f = field(4)
@@ -234,14 +247,29 @@ class TestSiftedCount:
             sifted_decomposition(f, build_progression(f, 1), 100, s)
 
     @pytest.mark.parametrize("q", [3, 11, 163, 4])
-    @pytest.mark.parametrize("count", [b_star_count,
-                                       lambda f, sp, y: sifted_count(f, sp, y, 2.5),
-                                       lambda f, sp, y: sifted_decomposition(f, sp, y, 2.5)],
-                             ids=["b_star_count", "sifted_count", "sifted_decomposition"])
+    @SIFT_ENTRY_POINTS
     def test_rejects_a_field_not_the_progressions_own(self, count, q):
         sp = build_progression(field(7), 3)
         with pytest.raises(ValueError, match=f"progression of q=7 sifted in q={q}"):
             count(field(q), sp, 300)
+
+    @pytest.mark.parametrize("z", [math.nan, 2, -math.inf])
+    def test_sifted_count_rejects_a_cut_not_above_two(self, z):
+        f = field(7)
+        with pytest.raises(ValueError, match="z > 2"):
+            sifted_count(f, build_progression(f, 3), 100, z)
+
+    def test_sifted_count_at_infinite_z_counts_the_all_split_terms(self):
+        f = field(7)
+        sp = build_progression(f, 3)
+        assert sifted_count(f, sp, 100, math.inf) == b_star_count(f, sp, 100)
+
+    @pytest.mark.parametrize("y", [math.inf, math.nan, -math.inf])
+    @SIFT_ENTRY_POINTS
+    def test_rejects_a_non_finite_y(self, count, y):
+        f = field(7)
+        with pytest.raises(ValueError, match="y must be finite"):
+            count(f, build_progression(f, 3), y)
 
     def test_decomposition_small(self):
         f = field(3)
@@ -313,6 +341,73 @@ class TestSift:
             _sift(f, sp, y, 50)
         with pytest.raises(ValueError, match="10\\^14"):
             _sift(f, sp, y + 1, 50)
+
+
+def _hits_oracle(a, b, primes, top, lo, n):
+    """hits(lo, n) by direct divisibility of the block's terms a*j + b: per
+    prime, the powers p^k <= top that divide some term, up to the first
+    that divides none."""
+    out = []
+    for p in primes:
+        slices, pk = [], p
+        while pk <= top:
+            offsets = [i for i in range(n) if (a * (lo + i) + b) % pk == 0]
+            if not offsets:
+                break
+            assert offsets == list(range(offsets[0], n, pk))
+            slices.append((offsets[0], pk))
+            pk *= p
+        if slices:
+            out.append((p, slices))
+    return out
+
+
+class TestLinearForm:
+    PRIMES = quadfield.prime_table(1000).tolist()
+
+    @pytest.mark.parametrize("top", [3 ** 5, 3 ** 5 - 1, 2 ** 10, 2 ** 10 - 1,
+                                     997, 996, 10 ** 6, 10 ** 14])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("shared", [False, True], ids=["coprime", "shares-primes"])
+    def test_hits_match_direct_divisibility(self, top, n, shared):
+        # a sharing primes with the list drops them: they divide no term
+        rng = random.Random(f"{top} {n} {shared}")
+        for _ in range(4):
+            a = rng.randint(1, 10 ** 6) * (2 * 3 * 5 * 7 * 11 if shared else 1)
+            b = rng.randint(-10 ** 6, 10 ** 6)
+            while math.gcd(a, b) != 1:
+                b += 1
+            lo = rng.randint(0, 10 ** 9)
+            form = bnumbers._LinearForm(a, b, self.PRIMES, top)
+            got = list(form.hits(lo, n))
+            assert got == _hits_oracle(a, b, self.PRIMES, top, lo, n), (a, b, lo)
+            if n == 1:
+                term = a * lo + b
+                assert [p for p, _ in got] == [p for p in self.PRIMES
+                                               if p <= top and term % p == 0]
+
+    def test_forms_for_a_large_shift_hold_no_object_per_prime(self, monkeypatch):
+        # q = 163, h = 400001 sieves by the ~7.3e4 primes up to sqrt(top)
+        # even at y = 10: each form holds two int64 arrays over them
+        f = field(163)
+        sp = build_progression(f, 400001)
+        quadfield.prime_table(isqrt(sp.n1 * 10 + sp.n0 + abs(sp.h_normalized)))
+        forms = []
+
+        class Kept(bnumbers._LinearForm):
+            def __init__(self, *args):
+                super().__init__(*args)
+                forms.append(self)
+
+        monkeypatch.setattr(bnumbers, "_LinearForm", Kept)
+        tracemalloc.start()
+        try:
+            _sift(f, sp, 10, 50)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(forms) == 2 and len(forms[0].primes) > 7 * 10 ** 4
+        assert held <= 5 * 10 ** 6, held
 
 
 class TestRCountArray:

@@ -225,6 +225,11 @@ class TestCircleProblemSum:
         assert at.direct_count == at.total
         assert circle_problem_sum(f, 1000.5).direct_count is None
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan, -math.inf, 0.5])
+    def test_rejects_x_not_finite_and_at_least_one(self, x):
+        with pytest.raises(ValueError, match="finite x >= 1"):
+            circle_problem_sum(field(3), x)
+
     def test_summand_integrality(self):
         res = circle_problem_sum(field(3), 60)
         assert isinstance(res.convolution_part, int)
