@@ -7,10 +7,10 @@ progressions that force both members of a pair into the all-split regime,
 and evaluates the sifted counts that split such a progression by the
 number of large inert prime factors.
 
-Both the indicator and the sifted counts come from one numpy block sieve
-over a linear form a*j + b (`_LinearForm`): the root of a*j + b = 0 is solved
-once per prime, modulo the prime's largest power <= top, and the terms each power
-divides are a strided slice of the block.  No term is factorized one at a time.
+The indicator, r(m) and the sifted counts come from one numpy block sieve over
+a linear form a*j + b (`_LinearForm`), with no per-term factorization: the root
+of a*j + b = 0 is solved once per prime, modulo its largest power <= top, and the
+terms each power divides are a strided slice; `_pair_blocks` walks integer ranges.
 """
 from __future__ import annotations
 
@@ -26,7 +26,13 @@ from . import quadfield
 from .quadfield import (Discriminant, IdentityError, b_indicator, chi,
                         chi_period, chi_table, factorize)
 
-_SEGMENT = 1 << 20
+#: Integers per block of `_pair_blocks`: on 2 x86-64 vCPUs `count --q 163 --x 10000`
+#: peaks at 36.9 MB (50.9 MB at 2^20); the 10^7 curve sieves in 0.14-0.15 s (0.12-0.14 s).
+_BLOCK = 1 << 18
+#: Terms per block of `_sift`, which tests the roots of up to 6.6*10^5 primes a block:
+#: `bnumbers --q 7 --x 1e7 --h 3 --s 2.5` takes 1.9-2.0 s (3.6-4.1 s at 2^18).
+_SIFT_BLOCK = 1 << 20
+_CHECK_TERMS = 100   # _check_progression checks the terms j = 1, ..., _CHECK_TERMS
 
 
 class Classification(enum.Enum):
@@ -78,14 +84,14 @@ class _LinearForm:
         first = self.a * lo + self.b
         return np.arange(first, first + self.a * n, self.a, dtype=np.int64)
 
-    def hits(self, lo: int, n: int):
-        """(p, [(start, p^k), ...]) for each prime dividing a term of the
-        block j in [lo, lo + n): p^k divides exactly the terms at offsets
-        start, start + p^k, ... in the block, and the list stops at the
+    def hits(self, lo: int, n: int, keep=True):
+        """(p, [(start, p^k), ...]) for each prime of primes[keep] dividing a
+        term of the block j in [lo, lo + n): p^k divides exactly the terms at
+        offsets start, start + p^k, ... in the block, and the list stops at the
         first power that divides none.  One vectorized test picks the primes
         with a start below n, and only those walk their powers."""
         starts = (self.roots - lo) % self.primes
-        hit = starts < n
+        hit = (starts < n) & keep
         for p, r, start in zip(self.primes[hit].tolist(), self.roots[hit].tolist(),
                                starts[hit].tolist()):
             slices = [(start, p)]
@@ -101,64 +107,68 @@ def _odd_exponent(odd: np.ndarray, slices: list[tuple[int, int]], n: int) -> Non
     order, from its hits slices [(first, p), (start, p^2), ...]: the parity
     is 1 on each multiple of p and toggled by each higher power."""
     first, p = slices[0]
+    if len(slices) == 1:   # p^2 divides no term of the block
+        odd[first::p] = True
+        return
     parity = np.ones(len(range(first, n, p)), dtype=bool)
     for start, pk in slices[1:]:
         parity[(start - first) // p::pk // p] ^= True
     odd[first::p] |= parity
 
 
+def integers_form(top: int) -> _LinearForm:
+    """The form m = 1*j + 0 over every prime up to sqrt(top): it sieves any
+    block of integers m <= top completely, for the kernels of _pair_blocks."""
+    return _LinearForm(1, 0, quadfield.prime_table(isqrt(top)), top)
+
+
 def _indicator_block(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.ndarray:
     """ind[i] iff lo + i is a norm value, for i < n (lo >= 1), in one int64
-    and two bool arrays of length n; form runs over the ramified and
-    the inert primes up to sqrt(top), top >= lo + n - 1.
+    and two bool arrays of length n; form is integers_form(top) with
+    top >= lo + n - 1, and its split primes are skipped.
 
     Each inert prime writes the parity of its valuation on its multiples.
     What is left is at most one prime c > sqrt(top), not divided out: once
     every small inert exponent is even, chi (completely multiplicative) of
     m with its ramified part stripped is chi(c), -1 exactly when c is inert.
     """
+    table, ram = chi_table(fld), fld.ramified_prime
     rem = form.values(lo, n)
     odd = np.zeros(n, dtype=bool)
-    for p, slices in form.hits(lo, n):
-        if p == fld.ramified_prime:
+    for p, slices in form.hits(lo, n, table[form.primes % chi_period(fld)] < 1):
+        if p == ram:
             for start, pk in slices:
                 rem[start::pk] //= p
         else:
             _odd_exponent(odd, slices, n)
-    odd |= (chi_table(fld) == -1)[np.remainder(rem, chi_period(fld), out=rem)]
+    odd |= (table == -1)[np.remainder(rem, chi_period(fld), out=rem)]
     return np.logical_not(odd, out=odd)
 
 
-def _pair_blocks(fld: Discriminant, lo: int, hi: int, h: int):
-    """(start, pair) for m in [lo, hi), block by block: pair[i] iff both
-    m = start + i and m + h are norm values (lo + min(h, 0) >= 1).  Each
-    integer is sieved once: a block's last |h| indicators are carried into
-    the next, so memory is O(2^20 + |h|) over any range."""
+def _pair_blocks(fld: Discriminant, kernel, lo: int, hi: int, h: int):
+    """(start, at_m, at_mh) for m in [lo, hi), block by block: kernel's values
+    (_indicator_block or r_count_array) at m = start + i and at m + h, with
+    lo + min(h, 0) >= 1.  Each integer is sieved once, in blocks of _BLOCK on
+    one integers_form, and the last |h| values are carried into the next block:
+    memory is O(_BLOCK + |h|) if the consumer drops each block before the next."""
     d, s, top = abs(h), lo + min(h, 0), hi + max(h, 0) - 1
-    small = quadfield.prime_table(isqrt(max(top, 0)))
-    form = _LinearForm(1, 0, small[chi_table(fld)[small % chi_period(fld)] < 1], top)
-    window = np.zeros(0, dtype=bool)   # the indicators of [s, s + len)
-    for b in range(s, top + 1, _SEGMENT):
-        window = np.concatenate(
-            (window, _indicator_block(fld, form, b, min(_SEGMENT, top + 1 - b))))
+    form = integers_form(top)
+    window = np.zeros(0, dtype=bool)   # kernel's values on [s, s + len)
+    for b in range(s, top + 1, _BLOCK):
+        window = np.concatenate((window, kernel(fld, form, b, min(_BLOCK, top + 1 - b))))
         k = len(window) - d   # the pairs (s + i, s + i + d), i < k, are complete
         if k > 0:
-            yield s - min(h, 0), window[:k] & window[d:]
+            yield (s, window[:k], window[d:]) if h >= 0 else (s + d, window[d:], window[:k])
             window, s = window[k:].copy(), s + k   # the copy lets the block go
 
 
 def norm_indicator_array(fld: Discriminant, limit: int) -> np.ndarray:
     """Boolean array ind[0..limit]: ind[n] iff n >= 1 is a norm value; the
-    pair sieve at shift 0 over the whole range, for tests and the benchmark."""
+    walker at shift 0 over the whole range, for tests and the benchmark."""
     if limit < 1:
         raise ValueError("limit >= 1 required")
-    return np.concatenate([[False], *(ind for _, ind in _pair_blocks(fld, 1, limit + 1, 0))])
-
-
-def integers_form(top: int) -> _LinearForm:
-    """The form m = 1*j + 0 over every prime up to sqrt(top): it sieves any
-    block of integers m <= top completely, for r_count_array."""
-    return _LinearForm(1, 0, quadfield.prime_table(isqrt(top)), top)
+    blocks = _pair_blocks(fld, _indicator_block, 1, limit + 1, 0)
+    return np.concatenate([[False], *(ind for _, ind, _ in blocks)])
 
 
 def r_count_array(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.ndarray:
@@ -179,7 +189,7 @@ def r_count_array(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.n
     per = chi_period(fld)
     table = chi_table(fld)
     rem = form.values(lo, n)
-    count = np.ones(n, dtype=np.int64)
+    count = np.full(n, fld.unit_count, dtype=np.int64)
     odd = np.zeros(n, dtype=bool)
     for p, slices in form.hits(lo, n):
         for start, pk in slices:
@@ -193,9 +203,13 @@ def r_count_array(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.n
                 count[start::pk] *= k + 1
         elif c == -1:
             _odd_exponent(odd, slices, n)
-    count *= 1 + table[rem % per] * (rem > 1)
+    big = rem > 1
+    factor = table[np.remainder(rem, per, out=rem)]   # in place: one temporary
+    factor *= big
+    factor += 1
+    count *= factor
     count[odd] = 0
-    return fld.unit_count * count
+    return count
 
 
 def shifted_count(fld: Discriminant, x: float, h: int) -> int:
@@ -208,10 +222,12 @@ def _shifted_counts(fld: Discriminant, xs: list[float], h: int) -> list[int]:
     if not all(1 <= x < math.inf for x in xs):
         raise ValueError("finite x >= 1 required")
     counts = [0] * len(xs)
-    for start, pair in _pair_blocks(fld, max(1, 1 - h), math.floor(max(xs)) + 1, h):
+    blocks = _pair_blocks(fld, _indicator_block, max(1, 1 - h), math.floor(max(xs)) + 1, h)
+    for start, at_m, at_mh in blocks:
+        pair = at_m & at_mh
         for i, x in enumerate(xs):
             counts[i] += int(np.count_nonzero(pair[:max(math.floor(x) + 1 - start, 0)]))
-        del pair   # freed before the next block is sieved
+        del pair, at_m, at_mh   # freed before the next block is sieved
     return counts
 
 
@@ -298,11 +314,11 @@ def build_progression(fld: Discriminant, h: int) -> ProgressionSpec:
     return spec
 
 
-def _check_progression(spec: ProgressionSpec, terms: int = 100) -> None:
+def _check_progression(spec: ProgressionSpec) -> None:
     # defining property on the first terms: the pair indicator collapses to
     # a single indicator of the reduced product
     fld = spec.field
-    for j in range(1, terms + 1):
+    for j in range(1, _CHECK_TERMS + 1):
         n, m1, m2 = spec.term(j)
         where = f"q={fld.q} h={spec.h_original} j={j} n={n}"
         if gcd(n, m2) != 1:
@@ -366,8 +382,8 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
     forms = (_LinearForm(spec.n1 // d, spec.n0 // d, primes, top),
              _LinearForm(spec.n1, spec.n0 + spec.h_normalized, primes, top))
     counts = np.zeros(7, dtype=np.int64)   # sifted terms by inert count 0..6+
-    for lo in range(1, Y + 1, _SEGMENT):
-        n = min(_SEGMENT, Y + 1 - lo)
+    for lo in range(1, Y + 1, _SIFT_BLOCK):
+        n = min(_SIFT_BLOCK, Y + 1 - lo)
         count = np.zeros(n, dtype=np.int64)   # inert primes with multiplicity
         below_z = np.zeros(n, dtype=bool)     # some inert prime < z
         for form in forms:

@@ -23,7 +23,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .bnumbers import _pair_blocks
+from .bnumbers import _indicator_block, _pair_blocks
 from .halfplane import (UnimodularMatrix, arithmetic_radius, congruence_holds,
                         coords_from_split, matrix_from_split, _radius16)
 from .quadfield import (AlgebraicInt, Discriminant, IdentityError, factorize,
@@ -136,18 +136,22 @@ def radii_up_to(fld: Discriminant, x: float) -> list[Radius]:
 
 
 def iter_radii(fld: Discriminant, x: float) -> Iterator[Radius]:
-    """radii_up_to, one radius at a time; x below q/2 raises at once.
+    """radii_up_to, one radius at a time; x must be finite and >= q/2.
 
     A candidate two_n = 2m + q carries points iff n_minus = m and
-    n_plus = m + q are both norms; one streamed pair sieve with shift q
-    answers that for every candidate, block by block.
+    n_plus = m + q are both norms; the bnumbers walker at shift q answers
+    that for every candidate, block by block.
     """
     q = fld.q
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, not {x}")
     if x < q / 2:
         raise ValueError("x below the minimal radius q/2")
     top = (int(2 * x) - q) // 2   # the largest n_minus
-    return (Radius(fld, 2 * m + q) for start, pair in _pair_blocks(fld, 1, top + 1, q)
-            for m in (np.flatnonzero(pair) + start).tolist())
+    for start, at_m, at_mq in _pair_blocks(fld, _indicator_block, 1, top + 1, q):
+        ms = (np.flatnonzero(at_m & at_mq) + start).tolist()
+        del at_m, at_mq   # freed before the next block is sieved
+        yield from (Radius(fld, 2 * m + q) for m in ms)
 
 
 def enumerate_pairs(radius: Radius) -> list[SplitPair]:

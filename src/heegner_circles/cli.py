@@ -293,6 +293,8 @@ def cmd_bnumbers(args) -> int:
         raise ValueError("--x capped at 10^9 in the curve view")
     if abs(args.h) > 10 ** 7:
         raise ValueError("--h capped at 10^7 in the curve view")
+    if args.x < 1:   # before int(), which -inf overflows
+        raise ValueError("finite x >= 1 required")
     x = int(args.x)
     xs = [10 ** k for k in range(3, 10) if 10 ** k < x] + [x]
     counts = bnumbers._shifted_counts(fld, xs, args.h)

@@ -10,7 +10,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .bnumbers import integers_form, r_count_array
+from .bnumbers import _pair_blocks, r_count_array
 from .circles import Radius, brute_force_by_radius, iter_radii, stabilizer_size
 # factorize is not called here; bench/test_bench.py checks that the tracer
 # rewraps it in this namespace too
@@ -20,10 +20,6 @@ from .quadfield import (Discriminant, IdentityError, chi, factorize,
 
 #: Exponent from the equidistribution rate: log(pi/2)/log 2.
 RATE_EXPONENT = math.log(math.pi / 2) / math.log(2)
-
-#: Integers m per block of the convolution sum's r(m) sieve.  At q = 163,
-#: x = 10^4 it runs as fast as 2^20 and keeps `count`'s peak RSS lower.
-_BLOCK = 1 << 18
 
 
 def circle_discrepancy(angles: list[float]) -> float:
@@ -311,10 +307,10 @@ def circle_problem_sum(fld: Discriminant, x: float) -> CircleSumResult:
     sum's natural two_n = q term would need a norm-zero factor.  The
     summand is (c4/4) r(m) r(m + q), with c4 = 2 exactly when the ramified
     prime divides m (q | two_n for odd q, 4 | two_n for even q) and 1
-    otherwise.  r comes off one block sieve: each block of m sieves
-    [lo, lo + n + q), so memory does not grow with x.  The total times 4
-    is accumulated and checked divisible.  At x <= 10^3 the total is also
-    checked against direct_cosh_count, the brute-force matrix count.
+    otherwise.  r comes off the bnumbers walker at shift q, so memory does
+    not grow with x.  The total times 4 is accumulated and checked
+    divisible.  At x <= 10^3 the total is also checked against
+    direct_cosh_count, the brute-force matrix count.
     """
     if not 1 <= x < math.inf:
         raise ValueError("finite x >= 1 required")
@@ -323,13 +319,10 @@ def circle_problem_sum(fld: Discriminant, x: float) -> CircleSumResult:
     top = (lim - q) // 2   # the largest n_minus
     ram = fld.ramified_prime
     tot4 = 0
-    if top >= 1:
-        form = integers_form(top + q)
-        for lo in range(1, top + 1, _BLOCK):
-            n = min(_BLOCK, top + 1 - lo)
-            r = r_count_array(fld, form, lo, n + q)
-            prod = r[:n] * r[q:]
-            tot4 += int(prod.sum()) + int(prod[-lo % ram::ram].sum())
+    for start, r_m, r_mq in _pair_blocks(fld, r_count_array, 1, top + 1, q):
+        prod = r_m * r_mq
+        tot4 += int(prod.sum()) + int(prod[-start % ram::ram].sum())
+        del prod, r_m, r_mq   # freed before the next block is sieved
     if tot4 % 4:
         raise IdentityError(f"q={q} x={x}: 4 * convolution sum = {tot4} "
                             "is not divisible by 4")

@@ -215,7 +215,7 @@ def _eratosthenes(bound: int) -> np.ndarray:
     return np.flatnonzero(sieve).astype(np.int64)
 
 
-def prime_table(bound: int = _PRIME_TABLE_LIMIT) -> np.ndarray:
+def prime_table(bound: int) -> np.ndarray:
     """The primes up to min(bound, 10^7), ascending, as int64.
 
     Sieved to the largest bound asked for so far; a smaller bound reads a

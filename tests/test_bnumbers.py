@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 from sympy.functions.combinatorial.numbers import kronecker_symbol
 
-from heegner_circles import bnumbers, equidist, quadfield
+from heegner_circles import bnumbers, quadfield
 from heegner_circles.bnumbers import (Classification, SiftedDecomposition,
                                       _sift, build_progression, b_star_count,
                                       classify, integers_form,
@@ -97,7 +97,7 @@ class TestShiftedCount:
     def test_streamed_pairs_match_whole_array_across_seams(self, q):
         # x on both sides of the first two block seams; the shift S + 7 is
         # longer than a block, so the carried window spans a whole block
-        f, S = field(q), bnumbers._SEGMENT
+        f, S = field(q), bnumbers._BLOCK
         xs = [S - 300, S + 300, 2 * S - 300, 2 * S + 300]
         ind = norm_indicator_array(f, xs[-1] + S + 7)
         for h in (1, 3, -5, q, S + 7):
@@ -416,9 +416,9 @@ class TestRCountArray:
         # windows k*block +- (q + 300) around the convolution sum's seams
         f = field(q)
         half = q + 300
-        form = integers_form(2 * equidist._BLOCK + half)
+        form = integers_form(2 * bnumbers._BLOCK + half)
         for k in (1, 2):
-            lo = k * equidist._BLOCK - half
+            lo = k * bnumbers._BLOCK - half
             got = r_count_array(f, form, lo, 2 * half).tolist()
             assert got == [r_count(f, m) for m in range(lo, lo + 2 * half)], k
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import radii_within
 from heegner_circles import circles
-from heegner_circles.bnumbers import _SEGMENT
+from heegner_circles.bnumbers import _BLOCK
 from heegner_circles.circles import (CirclePoint, Radius, angles,
                                      brute_force_by_radius,
                                      brute_force_matrices, enumerate_pairs,
@@ -81,6 +81,11 @@ class TestRadiiUpTo:
     def test_q4_small(self):
         assert [r.two_n for r in radii_up_to(field(4), 3)] == [6]
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_x(self, x):
+        with pytest.raises(ValueError, match="x must be finite"):
+            radii_up_to(field(3), x)
+
     def test_matches_brute_force_nonemptiness(self):
         for f in all_fields():
             if f.q > 200:
@@ -104,7 +109,7 @@ class TestRadiiUpTo:
         # n_minus and n_plus = n_minus + q both cross the sieve's first block
         # edge inside the window; only the window is checked against b_indicator
         f = field(q)
-        lo_m, hi_m = _SEGMENT - 300, _SEGMENT + 300
+        lo_m, hi_m = _BLOCK - 300, _BLOCK + 300
         got = [r.two_n for r in radii_up_to(f, hi_m + q / 2) if r.n_minus >= lo_m]
         want = per_candidate_radii(f, 2 * lo_m + q, 2 * hi_m + q)
         assert want and got == want

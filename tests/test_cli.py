@@ -403,7 +403,7 @@ GOLDEN_STDOUT = [
      "e89f3bce835518fac0afb0392aff93f24c2cb6f11bdf46a0f8a0043546454477"),
     (["bnumbers", "--q", "7", "--x", "300", "--h", "3", "--s", "2.5"],
      "b5a8971269d620f7a07963c58fb5d576d3a35bfd6afdf81abd3b497474459527"),
-    # three sieve segments at the top row
+    # nine blocks of the pair walker at the top row
     (["bnumbers", "--q", "19", "--x", "2200000", "--h", "2"],
      "88ba87fc016930f444e8e43183c1fe8893ca4608c5a53b7ef9103b93575613b5"),
     # element composition, congruence filter and angles on many radii
@@ -489,6 +489,7 @@ USAGE_ERRORS = [
     (["survey", "--q", "3", "--x", "nan"], "survey: --x must be a number"),
     (["count", "--q", "3", "--x", "nan"], "count: --x must be a number"),
     (["bnumbers", "--q", "3", "--x", "nan", "--h", "1"], "bnumbers: --x must be a number"),
+    (["bnumbers", "--q", "4", "--x=-inf", "--h", "1"], "bnumbers: finite x >= 1 required"),
     (["plot", "--q", "11", "--two-n", f"29,{10 ** 9 + 1}"], "plot: --two-n capped at 10^9"),
     (["plot", "--q", "11", "--two-n", "3"], "plot: invalid two_n=3 for q=11"),
 ]
@@ -500,8 +501,8 @@ USAGE_ERRORS = [
                               "sieve-x-cap", "bnumbers-h-cap", "bnumbers-negative-h-cap",
                               "sieve-x-below-1", "sieve-z", "sieve-s", "sieve-z-nan",
                               "sieve-s-nan", "sieve-s-inf", "sieve-past-psi13", "survey-x-nan",
-                              "count-x-nan", "bnumbers-x-nan", "plot-cap",
-                              "plot-invalid"])
+                              "count-x-nan", "bnumbers-x-nan", "bnumbers-x-minus-inf",
+                              "plot-cap", "plot-invalid"])
 def test_usage_error(capsys, argv, message):
     code = main(argv)
     out, err = capsys.readouterr()

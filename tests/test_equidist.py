@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import radii_within
-from heegner_circles import equidist, quadfield
+from heegner_circles import bnumbers, equidist, quadfield
 from heegner_circles.circles import (Radius, angles, lattice_points,
-                                     stabilizer_size)
+                                     radii_up_to, stabilizer_size)
 from heegner_circles.equidist import (RATE_EXPONENT, circle_discrepancy,
                                       circle_problem_sum, default_harmonic_cutoff,
                                       direct_cosh_count, discrepancy_report,
@@ -272,14 +272,37 @@ class TestCircleProblemSum:
         assert res.convolution_part == tot4 // 4
         assert res.total == tot4 // 4 + stabilizer_size(f)
         if x == 4000:
-            assert (lim - q) // 2 > equidist._BLOCK
+            assert (lim - q) // 2 > bnumbers._BLOCK
 
     @pytest.mark.parametrize("block", [97, 1000])
     def test_block_length_does_not_change_the_sum(self, monkeypatch, block):
-        want = {f.q: circle_problem_sum(f, 300) for f in all_fields()}
-        monkeypatch.setattr(equidist, "_BLOCK", block)
-        for f in all_fields():
-            assert circle_problem_sum(f, 300) == want[f.q], f.q
+        # the walker's block, shared by the sum, the radii and the pair counts;
+        # at 97 the carried window of q = 163 values is longer than a block
+        f163 = field(163)
+
+        def walks():
+            return ({f.q: circle_problem_sum(f, 300) for f in all_fields()},
+                    [r.two_n for r in radii_up_to(f163, 20000)],
+                    [bnumbers.shifted_count(f163, 5000, h) for h in (1, 163, -200)])
+
+        want = walks()
+        monkeypatch.setattr(bnumbers, "_BLOCK", block)
+        assert walks() == want
+
+    def test_memory_does_not_grow_with_x(self):
+        # tracemalloc sees numpy's buffers: the walker holds O(block + q) bytes;
+        # x = 10^4 and 3*10^4 at q = 163 are about 3 and 9 blocks of 2^18
+        f = field(163)
+        circle_problem_sum(f, 2000)   # build the small prime table first
+        peaks = []
+        for x in (10 ** 4, 3 * 10 ** 4):
+            tracemalloc.start()
+            try:
+                circle_problem_sum(f, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 10 ** 6 and peaks[1] < 16 * 10 ** 6, peaks
 
     def test_factorizes_nothing(self, monkeypatch):
         f = field(163)
@@ -347,6 +370,12 @@ class TestSurvey:
             assert r.point_count == len(lattice_points(radius))
             assert r.gamma_count == gamma_count(radius)
             assert r.in_B_flat == (math.gcd(r.two_n // (2 - q % 2), q) == 1)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_x(self, x):
+        # -inf stops at the constructor's minimal-radius check, inf and NaN at iter_radii
+        with pytest.raises(ValueError, match=r"(?i)\bx\b"):
+            list(equidist.SurveyStream(field(3), x))
 
     def test_stream_holds_no_rows(self):
         # past the first rows a stream's traced memory grows by its two summary

@@ -17,3 +17,32 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _names(tree):
+    """Every identifier a module defines, reads, imports or takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def _names_a_range_sieve(name):
+    return (name in ("_LinearForm", "integers_form")
+            or name.isupper() and ("BLOCK" in name or "SEGMENT" in name))
+
+
+def test_only_bnumbers_walks_integer_ranges():
+    # one block walker serves every range of integers: no other module builds
+    # a sieve form or sizes a block of its own
+    files = sorted(SRC.rglob("*.py"))
+    found = sorted({f"{path.relative_to(SRC)}: {name}"
+                    for path in files if path.name != "bnumbers.py"
+                    for name in _names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                    if _names_a_range_sieve(name)})
+    assert found == []
