@@ -23,8 +23,8 @@ import numpy as np
 
 # read prime_table through the module: bench/tracer.py times its build there
 from . import quadfield
-from .quadfield import (Discriminant, IdentityError, b_indicator, chi,
-                        chi_period, chi_table, factorize)
+from .quadfield import (Discriminant, IdentityError, chi, chi_period, chi_table,
+                        factorize)
 
 #: Integers per block of `_pair_blocks`: on 2 x86-64 vCPUs `count --q 163 --x 10000`
 #: peaks at 36.9 MB (50.9 MB at 2^20); the 10^7 curve sieves in 0.14-0.15 s (0.12-0.14 s).
@@ -32,7 +32,6 @@ _BLOCK = 1 << 18
 #: Terms per block of `_sift`, which tests the roots of up to 6.6*10^5 primes a block:
 #: `bnumbers --q 7 --x 1e7 --h 3 --s 2.5` takes 1.9-2.0 s (3.6-4.1 s at 2^18).
 _SIFT_BLOCK = 1 << 20
-_CHECK_TERMS = 100   # _check_progression checks the terms j = 1, ..., _CHECK_TERMS
 
 
 class Classification(enum.Enum):
@@ -269,66 +268,56 @@ def build_progression(fld: Discriminant, h: int) -> ProgressionSpec:
     """Normalize the shift and solve the congruences for (n0, n1).
 
     Powers of the ramified prime are stripped from h (shifting by them is
-    absorbed by scaling n), the sign is flipped if needed to make the
-    normalized shift a square residue, and n0 is the least positive
+    absorbed by scaling n), and the sign is flipped when chi(h) = -1, which
+    makes chi(h) = +1 since chi(-1) = -1 in every field (for q = 4 and 8 that
+    keeps the odd h = 1 mod 4, and h = 1, 3 mod 8).  n0 is the least positive
     solution of:  q odd: n = q (mod q^2 |h|), plus n = 4 (mod 8) when h is
     odd;  q even: n = 4q (mod 4 q^2 |h|).
     """
     if h == 0:
         raise ValueError("shift h must be nonzero")
     q = fld.q
-    ram = fld.ramified_prime
     h_orig = h
-    while h % ram == 0:
-        h //= ram
-    negated = False
-    if q % 2 == 1:
-        # q odd is prime, so chi is the Legendre symbol mod q
-        if chi(fld, h) == -1:
-            h = -h
-            negated = True
-        if chi(fld, h) == -1:
-            raise IdentityError(f"q={q} h={h_orig}: neither sign of the shift "
-                                "is a square mod q")
-        sigma = 1 if h % 2 else 0
-        base_mod = q * q * abs(h)
-        if sigma:
-            n1 = 8 * base_mod
-            n0 = _crt(q % base_mod, base_mod, 4, 8)
-        else:
-            n1 = base_mod
-            n0 = q   # q < q^2 |h| always
+    while h % fld.ramified_prime == 0:
+        h //= fld.ramified_prime
+    negated = chi(fld, h) == -1
+    if negated:
+        h = -h
+    if chi(fld, h) != 1:
+        raise IdentityError(f"q={q} h={h_orig}: chi of the normalized shift {h} is not 1")
+    base_mod = q * q * abs(h)
+    if q % 2 == 0:
+        sigma, n1, n0 = 1, 4 * base_mod, 4 * q   # 4q < 4 q^2 |h| always
+    elif h % 2:
+        sigma, n1, n0 = 1, 8 * base_mod, _crt(q, base_mod, 4, 8)
     else:
-        good = (lambda v: v % 4 == 1) if q == 4 else (lambda v: v % 8 in (1, 3))
-        if not good(h):
-            h = -h
-            negated = True
-        if not good(h):
-            raise IdentityError(f"q={q} h={h_orig}: neither sign of the shift "
-                                "has the required residue")
-        sigma = 1
-        n1 = 4 * q * q * abs(h)
-        n0 = (4 * q) % n1
+        sigma, n1, n0 = 0, base_mod, q   # q < q^2 |h| always
     spec = ProgressionSpec(fld, h_orig, h, sigma, n0, n1, negated)
     _check_progression(spec)
     return spec
 
 
 def _check_progression(spec: ProgressionSpec) -> None:
-    # defining property on the first terms: the pair indicator collapses to
-    # a single indicator of the reduced product
-    fld = spec.field
-    for j in range(1, _CHECK_TERMS + 1):
-        n, m1, m2 = spec.term(j)
-        where = f"q={fld.q} h={spec.h_original} j={j} n={n}"
-        if gcd(n, m2) != 1:
-            raise IdentityError(f"{where}: n and n + h share a factor")
-        if (m1 * m2) % 2 == 0:
-            raise IdentityError(f"{where}: reduced product {m1 * m2} is even")
-        lhs = b_indicator(fld, n) and b_indicator(fld, m2)
-        if lhs != b_indicator(fld, m1 * m2):
-            raise IdentityError(f"{where}: b(n) b(n + h) = {lhs:d} but "
-                                f"b(m1 m2) = {not lhs:d}")
+    """Check b(n) b(n + h) = b(m1 m2) on every term j >= 1, in O(1).
+
+    With d = 4^sigma q, n = n1 j + n0, m1 = n/d and m2 = n + h, the seven
+    conditions below give, for every j: d | n; m1 odd (n1/d even, n0/d odd);
+    m2 odd (n1 even, n0 + h odd); and gcd(n, n + h) = gcd(n0, h) = 1 (h | n1).
+    So m1 and m2 are coprime and b(m1 m2) = b(m1) b(m2), b being a condition
+    on each prime's exponent; and n = 4^sigma q m1 adds to m1 only the
+    ramified prime and an even power of 2, so b(n) = b(m1).  Reading b off
+    the sieve forms term by term instead would compare b(m1) b(m2) with itself.
+    """
+    d, h, n0, n1 = spec.denominator, spec.h_normalized, spec.n0, spec.n1
+    for holds, failure in ((n0 % d == 0, f"{d} does not divide n0={n0}"),
+                           (n1 % d == 0, f"{d} does not divide n1={n1}"),
+                           (n1 // d % 2 == 0, f"n1/{d} = {n1 // d} is odd"),
+                           (n1 % h == 0, f"h={h} does not divide n1={n1}"),
+                           (gcd(n0, h) == 1, f"n0={n0} and h={h} share a factor"),
+                           (n0 // d % 2 == 1, f"n0/{d} = {n0 // d} is even"),
+                           ((n0 + h) % 2 == 1, f"n0 + h = {n0 + h} is even")):
+        if not holds:
+            raise IdentityError(f"q={spec.field.q} h={spec.h_original}: {failure}")
 
 
 @dataclass(frozen=True)
@@ -363,15 +352,13 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
     """
     if fld != spec.field:
         raise ValueError(f"progression of q={spec.field.q} sifted in q={fld.q}")
+    _check_progression(spec)
     if not math.isfinite(y):
         raise ValueError(f"y must be finite, not {y}")
     Y = int(math.floor(y))
     if Y < 1:
         return SiftedDecomposition(0, 0, 0, 0, 0)
     d = spec.denominator
-    if spec.n1 % d or spec.n0 % d:
-        raise IdentityError(f"q={fld.q} h={spec.h_original}: {d} does not divide "
-                            f"both n1={spec.n1} and n0={spec.n0}")
     top = spec.n1 * Y + spec.n0 + abs(spec.h_normalized)
     if top > _SIFT_TOP_LIMIT:
         raise ValueError(f"top progression term n1*y + n0 + |h| = {top} "

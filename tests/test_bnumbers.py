@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from math import isqrt
 
@@ -17,6 +18,7 @@ from heegner_circles.bnumbers import (Classification, SiftedDecomposition,
                                       norm_indicator_array, r_count_array,
                                       shifted_count, sifted_count,
                                       sifted_decomposition)
+from heegner_circles.cli import main
 from heegner_circles.quadfield import (IdentityError, all_fields, b_indicator,
                                        chi, factorize, field, r_count)
 
@@ -162,26 +164,71 @@ class TestBuildProgression:
     @pytest.mark.parametrize("q,h", [
         (3, 1), (3, -1), (3, 2), (3, 5), (4, 1), (4, 5), (4, -3),
         (7, 1), (7, 2), (8, 1), (8, 3), (11, 2), (19, 1),
+        (7, -3), (8, -1), (11, -1), (19, -2), (43, 1), (43, -6),
+        (67, 2), (67, -5), (163, 1), (163, -10),
     ])
     def test_indicator_identity_on_terms(self, q, h):
-        # the constructor itself checks the first 100 terms; re-check a few
+        # the per-term oracle of what _check_progression proves for every j
         f = field(q)
         sp = build_progression(f, h)
-        for j in (1, 7, 50):
+        for j in range(1, 101):
             n, m1, m2 = sp.term(j)
             lhs = b_indicator(f, n) and b_indicator(f, n + sp.h_normalized)
-            assert lhs == b_indicator(f, m1 * m2)
-            assert (m1 * m2) % 2 == 1
+            assert lhs == b_indicator(f, m1 * m2), j
+            assert (m1 * m2) % 2 == 1 and math.gcd(m1, m2) == 1, j
 
-    def test_flipped_indicator_raises(self, monkeypatch):
-        # the constructor's check raises, so it still runs under python -O
-        f = field(3)
-        _, m1, m2 = build_progression(f, 1).term(40)
-        original = bnumbers.b_indicator
-        monkeypatch.setattr(bnumbers, "b_indicator", lambda fld, n:
-                            original(fld, n) != (n == m1 * m2))
-        with pytest.raises(IdentityError, match="j=40"):
-            build_progression(f, 1)
+    def test_sign_rule_and_congruences_written_out_per_q(self):
+        # every field and 1 <= |h| <= 3000 against the rule spelled out per q:
+        # h keeps its sign when it is a square mod q (q odd), 1 mod 4 (q = 4)
+        # or 1, 3 mod 8 (q = 8), and is negated otherwise
+        for f in all_fields():
+            q = f.q
+            ram = 2 if q % 2 == 0 else q
+            for h in (*range(-3000, 0), *range(1, 3001)):
+                hn = h
+                while hn % ram == 0:
+                    hn //= ram
+                if q == 4:
+                    keep = hn % 4 == 1
+                elif q == 8:
+                    keep = hn % 8 in (1, 3)
+                else:
+                    keep = pow(hn % q, (q - 1) // 2, q) == 1
+                hn = hn if keep else -hn
+                base = q * q * abs(hn)
+                if q % 2 == 0:
+                    want = (hn, not keep, 1, 4 * q, 4 * base)
+                elif hn % 2:
+                    n0 = next(n for n in range(q, 8 * base, base) if n % 8 == 4)
+                    want = (hn, not keep, 1, n0, 8 * base)
+                else:
+                    want = (hn, not keep, 0, q, base)
+                sp = build_progression(f, h)
+                assert (sp.h_normalized, sp.negated, sp.sigma, sp.n0, sp.n1) == want, (q, h)
+
+    #: (sigma, n0, n1) for q = 3 and h = -5, each breaking one condition;
+    #: build_progression(field(3), 5) is (1, 228, 360)
+    BROKEN = {"12 does not divide n0": (1, 232, 360),
+              "12 does not divide n1": (1, 228, 365),
+              "n1/12 = 15 is odd": (1, 228, 180),
+              "h=-5 does not divide n1": (1, 228, 24),
+              "share a factor": (1, 60, 360),
+              "n0/12 = 2 is even": (1, 24, 360),
+              "n0 + h = -2 is even": (0, 3, 30)}
+
+    @pytest.mark.parametrize("message", list(BROKEN))
+    def test_each_broken_condition_raises(self, message):
+        f, h = field(3), -5
+        sigma, n0, n1 = self.BROKEN[message]
+        d = 4 ** sigma * 3
+        held = [n0 % d == 0, n1 % d == 0, n1 // d % 2 == 0, n1 % h == 0,
+                math.gcd(n0, h) == 1, n0 // d % 2 == 1, (n0 + h) % 2 == 1]
+        assert held.count(False) == 1, held   # the spec breaks exactly one
+        bad = bnumbers.ProgressionSpec(f, 5, h, sigma, n0, n1, True)
+        with pytest.raises(IdentityError, match=re.escape(message)):
+            bnumbers._check_progression(bad)
+        with pytest.raises(IdentityError, match=re.escape(message)):
+            _sift(f, bad, 10, 50)
 
     def test_indivisible_term_raises(self):
         sp = build_progression(field(3), 1)
@@ -322,6 +369,19 @@ class TestSift:
         for y in (1, 2, 500, 2000):
             for z in (2.5, 50, y ** (1 / 2.5), y ** (1 / 1.2), math.inf):
                 assert _sift(f, sp, y, z) == _sift_oracle(per_term[:y], z), (y, z)
+
+    def test_cli_sieves_past_psi13(self, capsys):
+        # m1*m2 reaches 3.4e24 at j = 24, past where factorize is exact, but the
+        # top term 3.9e12 is under the sieve's 10^14 cap, so the view sieves;
+        # the oracle factorizes m1 and m2 separately
+        f = field(7)
+        dec = _sift_oracle(_inert_primes_per_term(f, build_progression(f, 1000000003), 10),
+                           10 ** (1 / 2.5))
+        code = main(["bnumbers", "--q", "7", "--x", "10", "--h", "1000000003", "--s", "2.5"])
+        y, _, *counts = capsys.readouterr().out.splitlines()[2].split(",")
+        assert (code, y, counts) == (0, "10", [str(c) for c in (dec.sifted, dec.all_split,
+                                                                 dec.two_large_inert,
+                                                                 dec.four_large_inert)])
 
     def test_top_term_cap(self, monkeypatch):
         # the largest y whose top term n1*y + n0 + |h| is at most 10^14 reaches

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -336,14 +337,36 @@ class TestSurveyCounts:
         assert "--x must be at least 1" in err
 
     def test_bnumbers_progression_identity_error_exits_one(self, capsys, monkeypatch):
-        # b(n) b(n + h) = b(m1 m2) flipped on one of the first 100 terms
-        _, m1, m2 = bnumbers.build_progression(quadfield.field(3), 1).term(7)
-        original = bnumbers.b_indicator
-        monkeypatch.setattr(bnumbers, "b_indicator", lambda fld, n:
-                            original(fld, n) != (n == m1 * m2))
+        # n0 moved off its congruence: 12 no longer divides n0 = 16
+        original = bnumbers._crt
+        monkeypatch.setattr(bnumbers, "_crt", lambda *args: original(*args) + 4)
         code, out = run(capsys, "bnumbers", "--q", "3", "--x", "100", "--h", "1",
                         "--s", "2.2")
         assert code == 1 and out == ""
+
+    def test_bnumbers_sieve_view_never_factorizes(self):
+        # the bench bnumbers workload's --s and --z commands, in a fresh process
+        # whose factorize raises: stdout keeps its reference digest, and the
+        # SPF table is never built
+        root = pathlib.Path(__file__).resolve().parents[1]
+        digests = json.loads((root / "bench" / "reference.json").read_text())["digests"]
+        keys = ["bnumbers --q 7 --x 10000 --h 3 --s 2.5", "bnumbers --q 7 --x 10000 --h 3 --z 50"]
+        prog = ("import contextlib, hashlib, io, sys\n"
+                "from heegner_circles import bnumbers, cli, quadfield\n"
+                "def refuse(n):\n"
+                "    raise AssertionError('factorize called')\n"
+                "quadfield.factorize = bnumbers.factorize = refuse\n"
+                "for key in sys.argv[1:]:\n"
+                "    buf = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(buf):\n"
+                "        code = cli.main(key.split())\n"
+                "    print(code, hashlib.sha256(buf.getvalue().encode()).hexdigest())\n"
+                "print(quadfield._spf_table is None)\n")
+        src = os.path.dirname(os.path.dirname(heegner_circles.__file__))
+        out = subprocess.run([sys.executable, "-c", prog, *keys],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True).stdout.splitlines()
+        assert out == [f"0 {digests[key]}" for key in keys] + ["True"]
 
 
 class TestPlot:
@@ -482,10 +505,6 @@ USAGE_ERRORS = [
      "bnumbers: --s must exceed 1"),
     (["bnumbers", "--q", "3", "--x", "100", "--h", "1", "--s", "inf"],
      "bnumbers: --s must be finite"),
-    # the progression check's term j = 24 has m1*m2 ~ 3.40e24, past psi_13,
-    # where factorize stops being exact
-    (["bnumbers", "--q", "7", "--x", "10", "--h", "1000000003", "--s", "2.5"],
-     "bnumbers: factorize is exact only below 3317044064679887385961981"),
     (["survey", "--q", "3", "--x", "nan"], "survey: --x must be a number"),
     (["count", "--q", "3", "--x", "nan"], "count: --x must be a number"),
     (["bnumbers", "--q", "3", "--x", "nan", "--h", "1"], "bnumbers: --x must be a number"),
@@ -500,7 +519,7 @@ USAGE_ERRORS = [
                               "circle-parity", "survey-cap", "count-cap", "bnumbers-cap",
                               "sieve-x-cap", "bnumbers-h-cap", "bnumbers-negative-h-cap",
                               "sieve-x-below-1", "sieve-z", "sieve-s", "sieve-z-nan",
-                              "sieve-s-nan", "sieve-s-inf", "sieve-past-psi13", "survey-x-nan",
+                              "sieve-s-nan", "sieve-s-inf", "survey-x-nan",
                               "count-x-nan", "bnumbers-x-nan", "bnumbers-x-minus-inf",
                               "plot-cap", "plot-invalid"])
 def test_usage_error(capsys, argv, message):

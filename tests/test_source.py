@@ -46,3 +46,15 @@ def test_only_bnumbers_walks_integer_ranges():
                     for name in _names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
                     if _names_a_range_sieve(name)})
     assert found == []
+
+
+def test_progression_path_never_factorizes():
+    # the sieve view is built, checked and sifted from congruences and the block
+    # sieve alone; per-term factorization is the tests' oracle
+    path = SRC / "heegner_circles" / "bnumbers.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = sorted(f"{node.name}: {name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in ("build_progression", "_check_progression", "_sift")
+                   for name in _names(node) if name in ("factorize", "b_indicator"))
+    assert found == []
