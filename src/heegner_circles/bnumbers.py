@@ -23,8 +23,7 @@ import numpy as np
 
 # read prime_table through the module: bench/tracer.py times its build there
 from . import quadfield
-from .quadfield import (Discriminant, IdentityError, chi, chi_period, chi_table,
-                        factorize)
+from .quadfield import Discriminant, IdentityError, chi, chi_table, factorize
 
 #: Integers per block of `_pair_blocks`: on 2 x86-64 vCPUs `count --q 163 --x 10000`
 #: peaks at 36.9 MB (50.9 MB at 2^20); the 10^7 curve sieves in 0.14-0.15 s (0.12-0.14 s).
@@ -134,22 +133,22 @@ def _indicator_block(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> n
     table, ram = chi_table(fld), fld.ramified_prime
     rem = form.values(lo, n)
     odd = np.zeros(n, dtype=bool)
-    for p, slices in form.hits(lo, n, table[form.primes % chi_period(fld)] < 1):
+    for p, slices in form.hits(lo, n, table[form.primes % len(table)] < 1):
         if p == ram:
             for start, pk in slices:
                 rem[start::pk] //= p
         else:
             _odd_exponent(odd, slices, n)
-    odd |= (table == -1)[np.remainder(rem, chi_period(fld), out=rem)]
+    odd |= (table == -1)[np.remainder(rem, len(table), out=rem)]
     return np.logical_not(odd, out=odd)
 
 
 def _pair_blocks(fld: Discriminant, kernel, lo: int, hi: int, h: int):
-    """(start, at_m, at_mh) for m in [lo, hi), block by block: kernel's values
-    (_indicator_block or r_count_array) at m = start + i and at m + h, with
-    lo + min(h, 0) >= 1.  Each integer is sieved once, in blocks of _BLOCK on
-    one integers_form, and the last |h| values are carried into the next block:
-    memory is O(_BLOCK + |h|) if the consumer drops each block before the next."""
+    """(start, kernel(m) * kernel(m + h)) for m = start + i in [lo, hi), block by
+    block, kernel being _indicator_block or r_count_array, with lo + min(h, 0) >= 1.
+    Each integer is sieved once, in blocks of _BLOCK on one integers_form, and
+    the last |h| values are carried into the next block: memory is
+    O(_BLOCK + |h|) if the consumer drops each block before the next."""
     d, s, top = abs(h), lo + min(h, 0), hi + max(h, 0) - 1
     form = integers_form(top)
     window = np.zeros(0, dtype=bool)   # kernel's values on [s, s + len)
@@ -157,7 +156,8 @@ def _pair_blocks(fld: Discriminant, kernel, lo: int, hi: int, h: int):
         window = np.concatenate((window, kernel(fld, form, b, min(_BLOCK, top + 1 - b))))
         k = len(window) - d   # the pairs (s + i, s + i + d), i < k, are complete
         if k > 0:
-            yield (s, window[:k], window[d:]) if h >= 0 else (s + d, window[d:], window[:k])
+            # the product is symmetric: h < 0 moves only the start, to the larger m
+            yield s + d * (h < 0), window[:k] * window[d:]
             window, s = window[k:].copy(), s + k   # the copy lets the block go
 
 
@@ -167,7 +167,7 @@ def norm_indicator_array(fld: Discriminant, limit: int) -> np.ndarray:
     if limit < 1:
         raise ValueError("limit >= 1 required")
     blocks = _pair_blocks(fld, _indicator_block, 1, limit + 1, 0)
-    return np.concatenate([[False], *(ind for _, ind, _ in blocks)])
+    return np.concatenate([[False], *(ind for _, ind in blocks)])
 
 
 def r_count_array(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.ndarray:
@@ -185,7 +185,6 @@ def r_count_array(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.n
     if lo < 1 or lo + n - 1 > form.top:
         raise ValueError(f"r_count_array sieves 1 <= m <= {form.top}, "
                          f"not m in [{lo}, {lo + n - 1}]")
-    per = chi_period(fld)
     table = chi_table(fld)
     rem = form.values(lo, n)
     count = np.full(n, fld.unit_count, dtype=np.int64)
@@ -193,7 +192,7 @@ def r_count_array(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.n
     for p, slices in form.hits(lo, n):
         for start, pk in slices:
             rem[start::pk] //= p
-        c = table[p % per]
+        c = table[p % len(table)]
         if c == 1:
             # p's factor e + 1: 2 on its multiples, then k -> k + 1 on those of p^k
             count[slices[0][0]::p] *= 2
@@ -203,7 +202,7 @@ def r_count_array(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.n
         elif c == -1:
             _odd_exponent(odd, slices, n)
     big = rem > 1
-    factor = table[np.remainder(rem, per, out=rem)]   # in place: one temporary
+    factor = table[np.remainder(rem, len(table), out=rem)]   # in place: one temporary
     factor *= big
     factor += 1
     count *= factor
@@ -222,11 +221,10 @@ def _shifted_counts(fld: Discriminant, xs: list[float], h: int) -> list[int]:
         raise ValueError("finite x >= 1 required")
     counts = [0] * len(xs)
     blocks = _pair_blocks(fld, _indicator_block, max(1, 1 - h), math.floor(max(xs)) + 1, h)
-    for start, at_m, at_mh in blocks:
-        pair = at_m & at_mh
+    for start, pair in blocks:
         for i, x in enumerate(xs):
             counts[i] += int(np.count_nonzero(pair[:max(math.floor(x) + 1 - start, 0)]))
-        del pair, at_m, at_mh   # freed before the next block is sieved
+        del pair   # freed before the next block is sieved
     return counts
 
 
@@ -364,7 +362,6 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
         raise ValueError(f"top progression term n1*y + n0 + |h| = {top} "
                          f"exceeds the sieve cap 10^14")
     primes = quadfield.prime_table(isqrt(top))
-    per = chi_period(fld)
     table = chi_table(fld)
     forms = (_LinearForm(spec.n1 // d, spec.n0 // d, primes, top),
              _LinearForm(spec.n1, spec.n0 + spec.h_normalized, primes, top))
@@ -378,12 +375,12 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
             for p, slices in form.hits(lo, n):
                 for start, pk in slices:
                     rem[start::pk] //= p
-                if table[p % per] == -1:
+                if table[p % len(table)] == -1:
                     for start, pk in slices:
                         count[start::pk] += 1
                     if p < z:
                         below_z[slices[0][0]::p] = True
-            big = (rem > 1) & (table[rem % per] == -1)
+            big = (rem > 1) & (table[rem % len(table)] == -1)
             count += big
             below_z |= big & (rem < z)
         odd = np.flatnonzero(count % 2)

@@ -148,9 +148,9 @@ def iter_radii(fld: Discriminant, x: float) -> Iterator[Radius]:
     if x < q / 2:
         raise ValueError("x below the minimal radius q/2")
     top = (int(2 * x) - q) // 2   # the largest n_minus
-    for start, at_m, at_mq in _pair_blocks(fld, _indicator_block, 1, top + 1, q):
-        ms = (np.flatnonzero(at_m & at_mq) + start).tolist()
-        del at_m, at_mq   # freed before the next block is sieved
+    for start, pair in _pair_blocks(fld, _indicator_block, 1, top + 1, q):
+        ms = (np.flatnonzero(pair) + start).tolist()
+        del pair   # freed before the next block is sieved
         yield from (Radius(fld, 2 * m + q) for m in ms)
 
 

@@ -231,14 +231,17 @@ def survey(fld: Discriminant, X: float, threads: int | None = None
 # ---------------------------------------------------------------------------
 # The sharp-set factorization of v_k (radii whose two_n shares a factor with q)
 
+#: |lhs - rhs| read as equality: v_k is a binary64 mean of unit-modulus terms.
+_SHARP_TOL = 1e-9
+
+
 def in_sharp_set(radius: Radius) -> bool:
     """The ramified prime divides n_minus: q | two_n for odd q, 4 | two_n
     for even q."""
     return radius.c4 == 2
 
 
-def sharp_factorization_check(fld: Discriminant, radius: Radius, k: int,
-                              tol: float = 1e-9) -> bool:
+def sharp_factorization_check(fld: Discriminant, radius: Radius, k: int) -> bool:
     """Check the v_k factorization over a sharp-set radius.
 
     Odd q: for even k the exact identity
@@ -257,13 +260,12 @@ def sharp_factorization_check(fld: Discriminant, radius: Radius, k: int,
         lhs = v_k(fld, radius.norm_product, k)
         rhs = v_k(fld, radius.n_plus // q, k) * v_k(fld, radius.n_minus // q, k)
         if k % 2 == 0:
-            return abs(lhs - rhs) <= tol
-        return lhs <= 1e-12 and lhs <= rhs + tol
-    return bool(sharp_power_hits(fld, radius, k, tol))
+            return abs(lhs - rhs) <= _SHARP_TOL
+        return lhs <= 1e-12 and lhs <= rhs + _SHARP_TOL
+    return bool(sharp_power_hits(fld, radius, k))
 
 
-def sharp_power_hits(fld: Discriminant, radius: Radius, k: int,
-                     tol: float = 1e-9) -> list[tuple[int, int]]:
+def sharp_power_hits(fld: Discriminant, radius: Radius, k: int) -> list[tuple[int, int]]:
     """Even-q analogue: which 2-power pairs (a, b) satisfy the identity.
 
     Tries v_k(M) = v_k(n_plus / 2^a) * v_k(n_minus / 2^b) for a, b in
@@ -280,7 +282,7 @@ def sharp_power_hits(fld: Discriminant, radius: Radius, k: int,
             if radius.n_minus % (1 << b):
                 continue
             rhs = v_k(fld, radius.n_plus >> a, k) * v_k(fld, radius.n_minus >> b, k)
-            if abs(lhs - rhs) <= tol:
+            if abs(lhs - rhs) <= _SHARP_TOL:
                 hits.append((a, b))
     return hits
 
@@ -315,14 +317,13 @@ def circle_problem_sum(fld: Discriminant, x: float) -> CircleSumResult:
     if not 1 <= x < math.inf:
         raise ValueError("finite x >= 1 required")
     q = fld.q
-    lim = int(math.floor(q * x + 1e-9))
-    top = (lim - q) // 2   # the largest n_minus
+    num, den = x.as_integer_ratio()   # exact: cosh <= x iff two_n <= floor(q x)
+    top = (q * num // den - q) // 2   # the largest n_minus
     ram = fld.ramified_prime
     tot4 = 0
-    for start, r_m, r_mq in _pair_blocks(fld, r_count_array, 1, top + 1, q):
-        prod = r_m * r_mq
+    for start, prod in _pair_blocks(fld, r_count_array, 1, top + 1, q):
         tot4 += int(prod.sum()) + int(prod[-start % ram::ram].sum())
-        del prod, r_m, r_mq   # freed before the next block is sieved
+        del prod   # freed before the next block is sieved
     if tot4 % 4:
         raise IdentityError(f"q={q} x={x}: 4 * convolution sum = {tot4} "
                             "is not divisible by 4")
@@ -340,7 +341,8 @@ def direct_cosh_count(fld: Discriminant, x: float) -> int:
     if x > 10 ** 3:
         raise ValueError("direct count capped at x <= 10^3")
     q = fld.q
-    max_two_n = int(math.floor(q * x + 1e-9))
+    num, den = x.as_integer_ratio()
+    max_two_n = q * num // den   # floor(q x) on the exact x, as in circle_problem_sum
     if max_two_n < q:
         return 0
     return sum(len(ms) for ms in brute_force_by_radius(fld, max_two_n).values())

@@ -118,18 +118,6 @@ def coords_from_split(fld: Discriminant, r: int, u: int, s: int, t: int) -> tupl
     return h, 2 * fld.z_norm * r * s + 2 * u * t + tm * (r * t + u * s)
 
 
-def inverse_transform_matrix(fld: Discriminant) -> list[list[int]]:
-    """Integer matrix T with (a,b,c,d)^T = T (r,u,s,t)^T / q."""
-    tm = fld.two_mu
-    z2 = fld.z_norm
-    return [
-        [2 * z2 - tm, -tm, 2 * z2, tm],
-        [tm * z2, 2 * z2, -tm * z2, 2 * z2 - tm],
-        [-tm, -2, tm, 2],
-        [2 * z2, tm, -2 * z2, -tm],
-    ]
-
-
 def congruence_holds(fld: Discriminant, r: int, u: int, s: int, t: int) -> bool:
     """The integrality condition on (r,u,s,t), in its reduced per-q form:
     u + r z_q = t + s z_q (mod sqrt(-q)), as quadfield._unit_blocks shows.
@@ -146,20 +134,26 @@ def congruence_holds(fld: Discriminant, r: int, u: int, s: int, t: int) -> bool:
 
 
 def congruence_holds_full(fld: Discriminant, r: int, u: int, s: int, t: int) -> bool:
-    """The unreduced 4x4 form of the integrality condition (test oracle)."""
-    T = inverse_transform_matrix(fld)
-    v = (r, u, s, t)
-    return all(sum(T[i][j] * v[j] for j in range(4)) % fld.q == 0 for i in range(4))
+    """The unreduced form of the integrality condition (test oracle): q times
+    (a, b, c, d) is the integer matrix below applied to (r, u, s, t)."""
+    tm, z2 = fld.two_mu, fld.z_norm
+    rows = ((2 * z2 - tm, -tm, 2 * z2, tm),
+            (tm * z2, 2 * z2, -tm * z2, 2 * z2 - tm),
+            (-tm, -2, tm, 2),
+            (2 * z2, tm, -2 * z2, -tm))
+    return all((x * r + y * u + z * s + w * t) % fld.q == 0 for x, y, z, w in rows)
 
 
 def matrix_from_split(fld: Discriminant, r: int, u: int, s: int, t: int) -> UnimodularMatrix:
-    """Invert split_coordinates.  Raises if the congruence filter was violated."""
-    T = inverse_transform_matrix(fld)
-    v = (r, u, s, t)
-    vals = []
-    for i in range(4):
-        num = sum(T[i][j] * v[j] for j in range(4))
-        if num % fld.q != 0:
-            raise ValueError(f"(r,u,s,t)={v} does not satisfy the congruence system for q={fld.q}")
-        vals.append(num // fld.q)
-    return UnimodularMatrix(*vals)
+    """Invert split_coordinates.  Raises if the congruence filter was violated.
+
+    t - u = 2|z_q|^2 c + two_mu d and r - s = 2d + two_mu c, and
+    4|z_q|^2 - two_mu^2 = q, so q c = 2(t - u) - two_mu (r - s); then
+    a = (r + s + two_mu c)/2, b = t - |z_q|^2 c and d = r - a.
+    """
+    c, qc_rem = divmod(2 * (t - u) - fld.two_mu * (r - s), fld.q)
+    two_a = r + s + fld.two_mu * c
+    if qc_rem or two_a % 2:
+        raise ValueError(f"(r,u,s,t)={(r, u, s, t)} does not satisfy the congruence "
+                         f"system for q={fld.q}")
+    return UnimodularMatrix(two_a // 2, t - fld.z_norm * c, c, r - two_a // 2)

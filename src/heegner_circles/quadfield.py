@@ -164,18 +164,13 @@ def kronecker(a: int, n: int) -> int:
 
 def chi(fld: Discriminant, n: int) -> int:
     """The real character of the field: +1 split, -1 inert, 0 ramified.
-    -q is a fundamental discriminant, so (-q / n) is periodic modulo chi_period
-    on all integers n and a table lookup is exact."""
+    -q is a fundamental discriminant, so (-q / n) is periodic modulo q on
+    all integers n and a lookup in its table of length q is exact."""
     t = _CHI_TABLES[fld.q]
     return t[n % len(t)]
 
 
-def chi_period(fld: Discriminant) -> int:
-    return 8 if fld.q == 8 else fld.q
-
-
-_CHI_TABLES = {f.q: tuple(kronecker(-f.q, i) for i in range(chi_period(f)))
-               for f in _FIELDS.values()}
+_CHI_TABLES = {f.q: tuple(kronecker(-f.q, i) for i in range(f.q)) for f in _FIELDS.values()}
 
 
 def chi_table(fld: Discriminant) -> np.ndarray:

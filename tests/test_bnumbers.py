@@ -505,3 +505,26 @@ class TestRCountArray:
                 elif c == -1 and e % 2:
                     want = 0
             assert r == want, m
+
+
+class TestPairBlocks:
+    @pytest.mark.parametrize("kernel,value", [(bnumbers._indicator_block, b_indicator),
+                                              (r_count_array, r_count)],
+                             ids=["indicator", "r_count"])
+    @pytest.mark.parametrize("q", [f.q for f in all_fields()])
+    def test_blocks_are_per_m_products_across_the_seam(self, q, kernel, value):
+        # m runs over [lo, BLOCK + 400), so the first block seam falls inside
+        # it; the blocks tile the range from lo, and around the first m and
+        # the seam each value is kernel(m) * kernel(m + h), read per m
+        f, S = field(q), bnumbers._BLOCK
+        for h in (-q, -5, 0, 3, q):
+            lo, hi = max(1, 1 - h), S + 400
+            checked = [*range(lo, lo + 100), *range(S - 400, hi)]
+            end, values = lo, {}
+            for start, prod in bnumbers._pair_blocks(f, kernel, lo, hi, h):
+                assert start == end and (start == lo or S - 400 <= start), (q, h, start)
+                end = start + len(prod)
+                values.update((m, int(prod[m - start])) for m in checked if start <= m < end)
+            assert end == hi and len(values) == len(checked), (q, h)
+            for m, got in values.items():
+                assert got == int(value(f, m)) * int(value(f, m + h)), (q, h, m)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import radii_within
 from heegner_circles import bnumbers, equidist, quadfield
-from heegner_circles.circles import (Radius, angles, lattice_points,
-                                     radii_up_to, stabilizer_size)
+from heegner_circles.circles import (Radius, angles, brute_force_by_radius,
+                                     lattice_points, radii_up_to, stabilizer_size)
 from heegner_circles.equidist import (RATE_EXPONENT, circle_discrepancy,
                                       circle_problem_sum, default_harmonic_cutoff,
                                       direct_cosh_count, discrepancy_report,
@@ -224,6 +225,18 @@ class TestCircleProblemSum:
         at = circle_problem_sum(f, 1000)
         assert at.direct_count == at.total
         assert circle_problem_sum(f, 1000.5).direct_count is None
+
+    @pytest.mark.parametrize("q,x,want", [(4, 242.9999999999, 1498),
+                                          (7, 2991 / 7 - 1e-10, 2544)])
+    def test_counts_no_radius_past_x(self, q, x, want):
+        # x just below a radius: cosh = two_n / q <= x is compared exactly on
+        # every matrix of the brute-force sweep up to the next radius
+        f = field(q)
+        buckets = brute_force_by_radius(f, math.ceil(q * x))
+        brute = sum(len(ms) for two_n, ms in buckets.items() if Fraction(two_n, q) <= x)
+        res = circle_problem_sum(f, x)
+        assert res.total == res.direct_count == brute == want
+        assert direct_cosh_count(f, x) == want
 
     @pytest.mark.parametrize("x", [math.inf, math.nan, -math.inf, 0.5])
     def test_rejects_x_not_finite_and_at_least_one(self, x):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -240,3 +241,28 @@ class TestCongruenceSystem:
         assert congruence_holds(f, 1, 4, 3, 0)
         assert not congruence_holds(f, 1, 4, 3, 2)
         assert not congruence_holds(f, 1, 4, 2, 4)
+
+    @pytest.mark.parametrize("q", [f.q for f in all_fields()])
+    def test_closed_form_matches_the_4x4_rows(self, q):
+        # the integer matrix T with q (a, b, c, d) = T (r, u, s, t), written out
+        # as the reference the closed-form inverse and the full check must match
+        f = field(q)
+        tm, z2 = f.two_mu, f.z_norm
+        T = [[2 * z2 - tm, -tm, 2 * z2, tm],
+             [tm * z2, 2 * z2, -tm * z2, 2 * z2 - tm],
+             [-tm, -2, tm, 2],
+             [2 * z2, tm, -2 * z2, -tm]]
+        for v in itertools.product(range(-6, 7), repeat=4):
+            nums = [sum(x * y for x, y in zip(row, v)) for row in T]
+            integral = all(n % q == 0 for n in nums)
+            assert congruence_holds_full(f, *v) == integral, v
+            if not integral:
+                with pytest.raises(ValueError, match="congruence"):
+                    matrix_from_split(f, *v)
+                continue
+            a, b, c, d = (n // q for n in nums)
+            if a * d - b * c == 1:
+                assert matrix_from_split(f, *v) == UnimodularMatrix(a, b, c, d), v
+            else:
+                with pytest.raises(ValueError, match="determinant"):
+                    matrix_from_split(f, *v)

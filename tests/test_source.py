@@ -58,3 +58,25 @@ def test_progression_path_never_factorizes():
                    and node.name in ("build_progression", "_check_progression", "_sift")
                    for name in _names(node) if name in ("factorize", "b_indicator"))
     assert found == []
+
+
+#: The package's public names, kept working across redesigns: a removal or
+#: rename shows up here rather than in a caller.
+PUBLIC_NAMES = """
+    AlgebraicInt CirclePoint Classification DiscrepancyReport Discriminant
+    ProgressionSpec Radius SplitPair UnimodularMatrix all_fields angles
+    apply_mobius arithmetic_radius b_indicator b_star_count brute_force_matrices
+    build_progression chi circle_discrepancy circle_problem_sum classify
+    cosh_distance disc_map discrepancy_report enumerate_norm enumerate_pairs
+    et_bound factorize field integer_coords kronecker lattice_points omega_pair
+    pairs_to_matrices r_count r_star radii_up_to residue_m
+    sharp_factorization_check shifted_count sifted_count split_coordinates
+    survey v_k
+""".split()
+
+
+def test_public_names_still_resolve():
+    assert len(PUBLIC_NAMES) == 44
+    missing = [name for name in PUBLIC_NAMES
+               if name not in heegner_circles.__all__ or not hasattr(heegner_circles, name)]
+    assert missing == []
