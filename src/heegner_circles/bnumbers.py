@@ -114,10 +114,18 @@ def _odd_exponent(odd: np.ndarray, slices: list[tuple[int, int]], n: int) -> Non
     odd[first::p] |= parity
 
 
+def _sieving_primes(top: int) -> np.ndarray:
+    """The primes up to sqrt(top), for a form over terms <= top.  The table stops at 10^7,
+    so past 10^14 a composite cofactor would read as a prime: ValueError instead."""
+    if top > quadfield._PRIME_TABLE_LIMIT ** 2:
+        raise ValueError(f"largest sieved term {top} exceeds the sieve cap 10^14")
+    return quadfield.prime_table(isqrt(top))
+
+
 def integers_form(top: int) -> _LinearForm:
     """The form m = 1*j + 0 over every prime up to sqrt(top): it sieves any
     block of integers m <= top completely, for the kernels of _pair_blocks."""
-    return _LinearForm(1, 0, quadfield.prime_table(isqrt(top)), top)
+    return _LinearForm(1, 0, _sieving_primes(top), top)
 
 
 def _indicator_block(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.ndarray:
@@ -331,11 +339,6 @@ class SiftedDecomposition:
         return self.sifted == self.all_split + self.two_large_inert + self.four_large_inert
 
 
-#: Largest progression term the sieve takes: its primes stay within the
-#: 10^7 prime limit and its products within int64.
-_SIFT_TOP_LIMIT = 10 ** 14
-
-
 def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> SiftedDecomposition:
     """One block sieve over the terms j <= y of both factors of the reduced
     product: m1 = (n1/4^sigma q) j + n0/4^sigma q and m2 = n1 j + n0 + h.
@@ -358,10 +361,7 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
         return SiftedDecomposition(0, 0, 0, 0, 0)
     d = spec.denominator
     top = spec.n1 * Y + spec.n0 + abs(spec.h_normalized)
-    if top > _SIFT_TOP_LIMIT:
-        raise ValueError(f"top progression term n1*y + n0 + |h| = {top} "
-                         f"exceeds the sieve cap 10^14")
-    primes = quadfield.prime_table(isqrt(top))
+    primes = _sieving_primes(top)
     table = chi_table(fld)
     forms = (_LinearForm(spec.n1 // d, spec.n0 // d, primes, top),
              _LinearForm(spec.n1, spec.n0 + spec.h_normalized, primes, top))

@@ -27,7 +27,7 @@ from .bnumbers import _indicator_block, _pair_blocks
 from .halfplane import (UnimodularMatrix, arithmetic_radius, congruence_holds,
                         coords_from_split, matrix_from_split, _radius16)
 from .quadfield import (AlgebraicInt, Discriminant, IdentityError, factorize,
-                        r_count_from_factors, _ext_gcd, _unit_blocks)
+                        r_count_from_factors, _ext_gcd, _quadrant, _unit_blocks)
 
 
 @dataclass(frozen=True)
@@ -219,19 +219,10 @@ def angles(radius: Radius) -> list[float]:
 # Oracles: the direct point solve and the brute-force matrix walk
 
 def _solve_circle(fld: Discriminant, two_n: int) -> list[tuple[int, int]]:
-    """Points (h, Y) of the circle by direct solve, O(two_n / sqrt(q))."""
+    """Points (h, Y) of the circle by direct solve, O(two_n / sqrt(q)), unordered."""
     q = fld.q
-    rhs = two_n * two_n - q * q
-    out = []
-    for h in range(-isqrt(rhs // q), isqrt(rhs // q) + 1):
-        d = rhs - q * h * h
-        w = isqrt(d)
-        if w * w != d:
-            continue
-        for Y in ((w,) if w == 0 else (w, -w)):
-            if (Y - two_n) % q == 0:
-                out.append((h, Y))
-    return out
+    return [(h, Y) for y, x in _quadrant(q, two_n * two_n - q * q)
+            for h in {y, -y} for Y in {x, -x} if (Y - two_n) % q == 0]
 
 
 def _row_families(fld: Discriminant, max_two_n: int):

@@ -300,6 +300,15 @@ class CircleSumResult:
     direct_count: int | None  # brute-force matrix count, when computed
 
 
+_DIRECT_X_LIMIT = 10 ** 3   # the largest x direct_cosh_count walks
+
+
+def _max_two_n(q: int, x: float) -> int:
+    """floor(q x) of the exact x: cosh <= x iff two_n <= floor(q x)."""
+    num, den = x.as_integer_ratio()
+    return q * num // den
+
+
 def circle_problem_sum(fld: Discriminant, x: float) -> CircleSumResult:
     """Count matrices with cosh(distance) <= x as a sum of r_count products.
 
@@ -317,8 +326,7 @@ def circle_problem_sum(fld: Discriminant, x: float) -> CircleSumResult:
     if not 1 <= x < math.inf:
         raise ValueError("finite x >= 1 required")
     q = fld.q
-    num, den = x.as_integer_ratio()   # exact: cosh <= x iff two_n <= floor(q x)
-    top = (q * num // den - q) // 2   # the largest n_minus
+    top = (_max_two_n(q, x) - q) // 2   # the largest n_minus
     ram = fld.ramified_prime
     tot4 = 0
     for start, prod in _pair_blocks(fld, r_count_array, 1, top + 1, q):
@@ -329,7 +337,7 @@ def circle_problem_sum(fld: Discriminant, x: float) -> CircleSumResult:
                             "is not divisible by 4")
     conv = tot4 // 4
     centre = stabilizer_size(fld)
-    direct = direct_cosh_count(fld, x) if x <= 10 ** 3 else None
+    direct = direct_cosh_count(fld, x) if x <= _DIRECT_X_LIMIT else None
     if direct is not None and conv + centre != direct:
         raise IdentityError(f"q={q} x={x}: convolution sum {conv} + centre "
                             f"{centre} != direct count {direct}")
@@ -338,11 +346,10 @@ def circle_problem_sum(fld: Discriminant, x: float) -> CircleSumResult:
 
 def direct_cosh_count(fld: Discriminant, x: float) -> int:
     """Brute-force count of matrices with cosh(distance to z_q) <= x."""
-    if x > 10 ** 3:
+    if x > _DIRECT_X_LIMIT:
         raise ValueError("direct count capped at x <= 10^3")
     q = fld.q
-    num, den = x.as_integer_ratio()
-    max_two_n = q * num // den   # floor(q x) on the exact x, as in circle_problem_sum
+    max_two_n = _max_two_n(q, x)
     if max_two_n < q:
         return 0
     return sum(len(ms) for ms in brute_force_by_radius(fld, max_two_n).values())

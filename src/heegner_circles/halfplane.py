@@ -119,18 +119,12 @@ def coords_from_split(fld: Discriminant, r: int, u: int, s: int, t: int) -> tupl
 
 
 def congruence_holds(fld: Discriminant, r: int, u: int, s: int, t: int) -> bool:
-    """The integrality condition on (r,u,s,t), in its reduced per-q form:
-    u + r z_q = t + s z_q (mod sqrt(-q)), as quadfield._unit_blocks shows.
-
-    q = 4: r = s and u = t mod 2;  q = 8: r = s mod 2 and u = t mod 4;
-    odd q: r + 2u = s + 2t mod q.
-    """
-    q = fld.q
-    if q == 4:
-        return (r - s) % 2 == 0 and (u - t) % 2 == 0
-    if q == 8:
-        return (r - s) % 2 == 0 and (u - t) % 4 == 0
-    return (r + 2 * u - s - 2 * t) % q == 0
+    """The integrality condition on (r,u,s,t), reduced: u + r z_q = t + s z_q
+    (mod sqrt(-q)), as quadfield._unit_blocks shows.  With a = u - t, b = r - s and
+    conj(sqrt(-q)) = two_mu - 2 z_q of norm q, that is q | (a + b z_q) conj(sqrt(-q)),
+    whose coordinates are two_mu a + 2|z_q|^2 b and -(2a + two_mu b)."""
+    a, b, tm = u - t, r - s, fld.two_mu
+    return (2 * a + tm * b) % fld.q == 0 and (tm * a + 2 * fld.z_norm * b) % fld.q == 0
 
 
 def congruence_holds_full(fld: Discriminant, r: int, u: int, s: int, t: int) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -353,6 +354,16 @@ def r_count(fld: Discriminant, M: int) -> int:
     return r_count_from_factors(fld, factorize(M))
 
 
+def _quadrant(q: int, N: int) -> Iterator[tuple[int, int]]:
+    """(y, x) with x^2 + q y^2 = N and x, y >= 0, y ascending: the direct solve of
+    both 4*N(u + r z_q) = (2u + two_mu r)^2 + q r^2 and q h^2 + Y^2 = two_n^2 - q^2."""
+    for y in range(isqrt(N // q) + 1):
+        d = N - q * y * y
+        x = isqrt(d)
+        if x * x == d:
+            yield y, x
+
+
 def enumerate_norm(fld: Discriminant, M: int) -> list[AlgebraicInt]:
     """All u + r z_q of norm M by direct solve of the quadratic in u.
 
@@ -363,36 +374,24 @@ def enumerate_norm(fld: Discriminant, M: int) -> list[AlgebraicInt]:
     if M < 1:
         raise ValueError("enumerate_norm expects M >= 1")
     tm = fld.two_mu
-    out = []
-    rmax = isqrt(4 * M // fld.q)
-    for r in range(-rmax, rmax + 1):
-        d = 4 * M - fld.q * r * r   # >= 0: q r^2 <= q (4M // q)
-        w = isqrt(d)
-        if w * w != d:
-            continue
-        for tw in ((w,) if w == 0 else (w, -w)):
-            if (tw - tm * r) % 2 == 0:
-                out.append(AlgebraicInt((tw - tm * r) // 2, r, fld))
-    out.sort(key=lambda a: (a.r, a.u))
-    return out
+    return sorted((AlgebraicInt((w - tm * r) // 2, r, fld)
+                   for y, x in _quadrant(fld.q, 4 * M)
+                   for r in {y, -y} for w in {x, -x} if (w - tm * r) % 2 == 0),
+                  key=lambda a: (a.r, a.u))
 
 
 _split_gen_cache: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def _split_coords(fld: Discriminant, p: int) -> tuple[int, int]:
-    """(u, r) of one element of norm p for a split prime p."""
+    """(u, r) of one element of norm p for a split prime p: _quadrant's first with r >= 1."""
     key = (fld.q, p)
-    hit = _split_gen_cache.get(key)
-    if hit is not None:
+    if (hit := _split_gen_cache.get(key)) is not None:
         return hit
     tm = fld.two_mu
-    for r in range(1, isqrt(4 * p // fld.q) + 1):
-        d = 4 * p - fld.q * r * r
-        w = isqrt(d)
-        if w * w == d and (w - tm * r) % 2 == 0:
-            hit = _split_gen_cache[key] = ((w - tm * r) // 2, r)
-            return hit
+    for r, w in _quadrant(fld.q, 4 * p):
+        if r and (w - tm * r) % 2 == 0:
+            return _split_gen_cache.setdefault(key, ((w - tm * r) // 2, r))
     raise ValueError(f"{p} is not split for q={fld.q}")
 
 
@@ -410,9 +409,8 @@ def _unit_blocks(fld: Discriminant, M: int,
        s the inert part) is prod pi^e g^k s (mod a): a block lies in one class mod a.
     2. 2 Re(sqrt(-q) gamma) = sqrt(-q) (gamma - conj(gamma)) = -q r, so elements congruent
        mod a have equal 2 Re mod q, and 2 Re = 2m (mod q) keeps or drops a whole block.
-    3. halfplane.congruence_holds(r, u, s, t) says u + r z_q = t + s z_q (mod a)
-       (odd q: z_q = 1/2 mod p, so u + r z_q = (2u + r)/2; q = 4: a = 2Z[i];
-       q = 8: a = 4Z + 2 sqrt(-2) Z), so it holds on two blocks' pairs or none.
+    3. halfplane.congruence_holds(r, u, s, t) says u + r z_q = t + s z_q (mod a),
+       so it holds on two blocks' pairs or none.
     """
     if factors is None:
         factors = factorize(M)

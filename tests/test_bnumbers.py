@@ -403,6 +403,33 @@ class TestSift:
             _sift(f, sp, y + 1, 50)
 
 
+class TestSieveReach:
+    @pytest.mark.parametrize("top", [10 ** 14 + 1, 100000037 * 100000049])
+    def test_integers_form_refuses_a_top_past_the_cap(self, top):
+        # the prime table stops at 10^7, so past 10^14 a cofactor can be a product
+        # of two primes above it: m = 100000037 * 100000049 would read as one
+        # split prime, r(m) = 8 where r_count gives 16
+        with pytest.raises(ValueError, match="exceeds the sieve cap 10\\^14"):
+            integers_form(top)
+
+    def test_integers_form_reaches_a_top_of_exactly_the_cap(self, monkeypatch):
+        # stopped at the form: no 10^7 prime table is built here
+        asked = []
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(quadfield, "prime_table",
+                            lambda bound: asked.append(bound) or np.zeros(0, np.int64))
+        monkeypatch.setattr(bnumbers, "_LinearForm", reached)
+        with pytest.raises(Reached):
+            integers_form(10 ** 14)
+        assert asked == [10 ** 7]
+
+
 def _hits_oracle(a, b, primes, top, lo, n):
     """hits(lo, n) by direct divisibility of the block's terms a*j + b: per
     prime, the powers p^k <= top that divide some term, up to the first

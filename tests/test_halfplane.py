@@ -252,10 +252,14 @@ class TestCongruenceSystem:
              [tm * z2, 2 * z2, -tm * z2, 2 * z2 - tm],
              [-tm, -2, tm, 2],
              [2 * z2, tm, -2 * z2, -tm]]
-        for v in itertools.product(range(-6, 7), repeat=4):
+        # [-6, 6]^4 reaches u - t and r - s only in [-12, 12]; (b, a, 0, 0) covers
+        # every residue class of both modulo q
+        every_class = ((b, a, 0, 0) for a in range(q) for b in range(q))
+        for v in itertools.chain(itertools.product(range(-6, 7), repeat=4), every_class):
             nums = [sum(x * y for x, y in zip(row, v)) for row in T]
             integral = all(n % q == 0 for n in nums)
             assert congruence_holds_full(f, *v) == integral, v
+            assert congruence_holds(f, *v) == integral, v
             if not integral:
                 with pytest.raises(ValueError, match="congruence"):
                     matrix_from_split(f, *v)

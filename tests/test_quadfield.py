@@ -371,6 +371,30 @@ class TestEnumerateNorm:
             (10, -9), (11, -5)]
 
 
+def _split_coords_loop(f, p):
+    """(u, r) of the least r >= 1 with 4p - q r^2 a square w^2 of the parity of
+    two_mu r: the direct loop _split_coords ran before _quadrant, as its oracle."""
+    tm = f.two_mu
+    for r in range(1, isqrt(4 * p // f.q) + 1):
+        d = 4 * p - f.q * r * r
+        w = isqrt(d)
+        if w * w == d and (w - tm * r) % 2 == 0:
+            return (w - tm * r) // 2, r
+    raise AssertionError(f"{p} is not split for q={f.q}")
+
+
+class TestSplitCoords:
+    @pytest.mark.parametrize("q", QS)
+    def test_matches_the_direct_loop_below_1e5(self, q, monkeypatch):
+        # the element order of every survey and circle rests on this choice
+        monkeypatch.setattr(quadfield, "_split_gen_cache", {})
+        f = field(q)
+        split = [p for p in primerange(3, 10 ** 5) if chi(f, p) == 1]
+        assert len(split) > 4000
+        for p in split:
+            assert quadfield._split_coords(f, p) == _split_coords_loop(f, p), p
+
+
 class TestUnitBlocks:
     """The congruence condition is a choice of unit blocks; the per-element
     filter and the per-pair loop stay here as oracles."""

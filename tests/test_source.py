@@ -80,3 +80,15 @@ def test_public_names_still_resolve():
     missing = [name for name in PUBLIC_NAMES
                if name not in heegner_circles.__all__ or not hasattr(heegner_circles, name)]
     assert missing == []
+
+
+def test_only_the_reach_check_reads_the_prime_table():
+    # the prime table stops at 10^7, so a form over terms past 10^14 is sieved
+    # short: every sieve form takes its primes from the one function that checks
+    files = sorted(SRC.rglob("*.py"))
+    found = sorted(f"{path.relative_to(SRC)}: {node.name}"
+                   for path in files
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                   if isinstance(node, ast.FunctionDef) and node.name != "prime_table"
+                   and "prime_table" in _names(node))
+    assert found == ["heegner_circles/bnumbers.py: _sieving_primes"]
