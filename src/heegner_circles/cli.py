@@ -2,7 +2,8 @@
 surveys, circle-problem counts, shifted-pair curves, and SVG figures.
 
 Every command is deterministic: identical flags produce byte-identical
-output.  Exit codes: 0 success, 1 a verified identity failed, 2 usage.
+output.  Exit codes: 0 success, 1 a verified identity failed, 2 usage,
+141 (128 + SIGPIPE) stdout closed by its reader.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import random
 import sys
 
@@ -464,7 +466,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if math.isnan(getattr(args, "x", 0.0)):   # NaN passes every cap unseen
             raise ValueError("--x must be a number")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()   # a reader that has gone shows here at the latest
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

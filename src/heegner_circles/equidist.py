@@ -11,7 +11,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .bnumbers import _pair_blocks, r_count_array
-from .circles import Radius, brute_force_by_radius, iter_radii, stabilizer_size
+from .circles import (Radius, brute_force_by_radius, iter_radii, pairs_to_matrices,
+                      stabilizer_size)
+from .halfplane import apply_mobius, disc_map
 # factorize is not called here; bench/test_bench.py checks that the tracer
 # rewraps it in this namespace too
 from .quadfield import (Discriminant, IdentityError, chi, factorize,
@@ -93,6 +95,7 @@ def et_bound(fld: Discriminant, radius: Radius, K: int | None = None) -> float:
     The constant pair (1, 3) makes the bound a true inequality against
     circle_discrepancy, which the tests assert radius by radius.
     """
+    _check_field(fld, radius)
     return _et_bound(_radius_angles(radius), radius.two_n, K)
 
 
@@ -104,6 +107,11 @@ def _et_bound(angs: list[float], two_n: int, K: int | None) -> float:
         raise ValueError("K >= 1 required")
     prof = _weyl_sums(angs, K)
     return 1.0 / (K + 1) + 3.0 * sum(v / k for k, v in enumerate(prof, start=1))
+
+
+def _check_field(fld: Discriminant, radius: Radius) -> None:
+    if fld != radius.field:
+        raise ValueError(f"radius of q={radius.field.q} read in q={fld.q}")
 
 
 def _radius_angles(radius: Radius) -> list[float]:
@@ -251,12 +259,11 @@ def sharp_factorization_check(fld: Discriminant, radius: Radius, k: int) -> bool
     one-sided inequality are verified instead.  Even q: at least one pair
     of 2-powers from sharp_power_hits must satisfy the analogue.
     """
+    _check_field(fld, radius)
     if not in_sharp_set(radius):
         raise ValueError("radius is not in the sharp set")
     q = fld.q
     if q % 2 == 1:
-        if radius.n_plus % q or radius.n_minus % q:
-            raise ValueError("sharp radius with non-integral quotients")
         lhs = v_k(fld, radius.norm_product, k)
         rhs = v_k(fld, radius.n_plus // q, k) * v_k(fld, radius.n_minus // q, k)
         if k % 2 == 0:
@@ -271,6 +278,7 @@ def sharp_power_hits(fld: Discriminant, radius: Radius, k: int) -> list[tuple[in
     Tries v_k(M) = v_k(n_plus / 2^a) * v_k(n_minus / 2^b) for a, b in
     {1, 2} wherever the quotients are integral, and reports the matches.
     """
+    _check_field(fld, radius)
     if fld.q % 2:
         raise ValueError("power report applies to even q")
     lhs = v_k(fld, radius.norm_product, k)
@@ -364,8 +372,6 @@ def matrix_angle_discrepancy(radius: Radius) -> float:
     leaves the discrepancy unchanged.  The suite asserts agreement with the
     point-side value.
     """
-    from .circles import pairs_to_matrices
-    from .halfplane import apply_mobius, disc_map
     fld = radius.field
     mats = pairs_to_matrices(radius, radius.pairs)
     ws = [disc_map(fld, apply_mobius(g, fld.z)) for g in mats]

@@ -528,20 +528,18 @@ def r_star(fld: Discriminant, M: int) -> int:
 
 
 def v_k(fld: Discriminant, M: int, k: int) -> float:
-    """Normalized absolute Weyl sum of order k over restricted elements.
-
-    Zero by definition when the restricted count is zero.  Angles are
-    evaluated in binary64; the sum has few terms and unit-modulus
-    summands, so the error stays far below the 1e-9 budget asserted in
-    the tests.
+    """Normalized absolute Weyl sum of order k over restricted elements:
+    weyl_profile(fld, M, |k|)[-1] bit for bit (v_{-k} = v_k, v_0 = 1), at |k|
+    complex products per element.  Zero when the restricted count is zero.
+    Each phase e^{ik theta} is a k-fold binary64 product of unit phases, so
+    the error grows about linearly in k: under 1e-14 for k <= 24.
     """
     if M < 1:
         raise ValueError("v_k expects M >= 1")
     angs = restricted_angles(fld, M)
     if not angs:
         return 0.0
-    s = sum(cmath.exp(1j * k * a) for a in angs)
-    return abs(s) / len(angs)
+    return _weyl_sums(angs, abs(k))[-1] if k else 1.0
 
 
 def weyl_profile(fld: Discriminant, M: int, K: int) -> list[float]:

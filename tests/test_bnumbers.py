@@ -239,6 +239,17 @@ class TestBuildProgression:
         with pytest.raises(IdentityError):
             _sift(sp.field, bad, 10, 50)
 
+    def test_odd_inert_count_raises(self, monkeypatch):
+        # inert primes enter each term in pairs; reading the split class 1 (mod 3)
+        # as inert breaks the pairing on the first term a prime 1 (mod 3) divides oddly
+        f = field(3)
+        table = quadfield.chi_table(f)
+        assert table[1] == 1
+        table[1] = -1
+        monkeypatch.setattr(bnumbers, "chi_table", lambda fld: table)
+        with pytest.raises(IdentityError, match="odd number of inert primes"):
+            _sift(f, build_progression(f, 1), 100, 50)
+
 
 class TestBStarCount:
     def test_below_one(self):

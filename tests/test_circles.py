@@ -12,7 +12,7 @@ from heegner_circles.circles import (CirclePoint, Radius, angles,
                                      lattice_points, pairs_to_matrices,
                                      radii_up_to, stabilizer_size)
 from heegner_circles.halfplane import arithmetic_radius, congruence_holds, split_coordinates
-from heegner_circles.quadfield import (IdentityError, all_fields, b_indicator,
+from heegner_circles.quadfield import (AlgebraicInt, IdentityError, all_fields, b_indicator,
                                        factorize, field, r_count, r_star, v_k,
                                        _unit_blocks)
 
@@ -168,6 +168,12 @@ class TestPairCounts:
             assert len(calls) <= f.unit_count ** 2 * len(radii), f.q
             assert got == [every_block_pair(r) for r in radii], f.q
 
+    def test_pair_of_the_wrong_norm_raises(self, monkeypatch):
+        # every pair is built from the unit blocks' tuples, then checked as elements
+        monkeypatch.setattr(circles, "AlgebraicInt", lambda u, r, fld: AlgebraicInt(u + 1, r, fld))
+        with pytest.raises(IdentityError, match="has the wrong norms"):
+            enumerate_pairs(Radius(field(3), 5))
+
     def test_canonical_sign(self):
         for p in enumerate_pairs(Radius(field(3), 5)):
             rust = p.rust
@@ -199,6 +205,18 @@ class TestPairsToMatrices:
                         r, u, s, t = -r, -u, -s, -t
                     back.add((r, u, s, t))
                 assert back == rusts, (f.q, radius.two_n)
+
+
+    def test_pair_of_another_radius_raises(self):
+        f = field(3)
+        with pytest.raises(IdentityError, match="maps to radius 11"):
+            pairs_to_matrices(Radius(f, 5), Radius(f, 11).pairs)
+
+    def test_duplicate_pair_raises(self):
+        radius = Radius(field(3), 5)
+        pairs = radius.pairs
+        with pytest.raises(IdentityError, match="to the same matrix"):
+            pairs_to_matrices(radius, pairs + pairs[:1])
 
 
 class TestBruteForce:
@@ -281,6 +299,25 @@ class TestLatticePoints:
         for radius in radii_up_to(field(7), 40):
             pts = {(p.h, p.Y) for p in lattice_points(radius)}
             assert {(-h, Y) for (h, Y) in pts} == pts
+
+    def test_point_hit_off_its_multiplicity_raises(self, monkeypatch):
+        # one pair moved onto another pair's point: the point count still
+        # matches the closed form, only the multiplicity check sees it
+        original = circles.coords_from_split
+        first, done = [], []
+
+        def moved(fld, *rust):
+            pt = original(fld, *rust)
+            if not first:
+                first.append(pt)
+            elif pt != first[0] and not done:
+                done.append(pt)
+                return first[0]
+            return pt
+
+        monkeypatch.setattr(circles, "coords_from_split", moved)
+        with pytest.raises(IdentityError, match="is not hit 3 times"):
+            Radius(field(3), 5).pairs_by_point
 
     def test_invalid_point_rejected(self):
         with pytest.raises(IdentityError):

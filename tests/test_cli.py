@@ -401,6 +401,30 @@ class TestPlot:
         assert cli.PALETTE[0] in used and cli.PALETTE[1] in used
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", [
+        ["survey", "--q", "3", "--x", "3000"],   # breaks while the rows are written
+        ["count", "--q", "3", "--x", "100"],     # short: breaks on main's final flush
+        ["verify", "--q", "3", "--max-two-n", "40"],
+    ], ids=["survey", "count", "verify"])
+    def test_reader_gone_before_the_first_write(self, command):
+        # as with `| head -0`: no traceback, nothing on stderr, 128 + SIGPIPE;
+        # stdout block-buffered, as by default on a pipe
+        src = os.path.dirname(os.path.dirname(heegner_circles.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "heegner_circles.cli", *command],
+                                  env=dict(env, PYTHONPATH=path), stdout=write_end,
+                                  stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 141
+
+
 class TestParser:
     def test_unknown_q_rejected(self):
         with pytest.raises(SystemExit) as exc:

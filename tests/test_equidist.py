@@ -135,6 +135,18 @@ class TestEtBound:
         assert calls == [radius.norm_product]
         assert rep.et_bound == et_bound(f, radius, K=6)
 
+    @pytest.mark.parametrize("d,bound", [(0.5, 0.4), (-0.1, 1.0), (1.5, 2.0)])
+    def test_report_outside_its_bound_raises(self, d, bound):
+        with pytest.raises(IdentityError, match="outside"):
+            equidist.DiscrepancyReport(5, 3, d, bound, 9)
+
+    def test_radius_of_another_field_rejected(self):
+        # the q = 3 sharp radius two_n = 21 used to give its q = 3 bound in q = 7
+        radius = Radius(field(3), 21)
+        assert et_bound(field(3), radius, K=4) > 0
+        with pytest.raises(ValueError, match="radius of q=3 read in q=7"):
+            et_bound(field(7), radius, K=4)
+
     def test_gamma_count_matches_pairs(self):
         from heegner_circles.circles import enumerate_pairs
         for f in all_fields():
@@ -196,6 +208,15 @@ class TestSharpFactorization:
                 old = two_n % q == 0 if q % 2 else math.gcd(two_n // 2, q) > 1
                 assert in_sharp_set(radius) == old, (q, two_n)
                 assert radius.c4 == (2 if old else 1), (q, two_n)
+
+    @pytest.mark.parametrize("q", [4, 7])
+    def test_radius_of_another_field_rejected(self, q):
+        radius = Radius(field(3), 21)
+        assert sharp_factorization_check(field(3), radius, 2)
+        with pytest.raises(ValueError, match=f"radius of q=3 read in q={q}"):
+            sharp_factorization_check(field(q), radius, 2)
+        with pytest.raises(ValueError, match=f"radius of q=3 read in q={q}"):
+            sharp_power_hits(field(q), radius, 2)
 
     def test_non_sharp_rejected(self):
         f = field(3)

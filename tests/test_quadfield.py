@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import os
@@ -559,6 +560,12 @@ class TestRStar:
             r_star(field(3), 21)   # gcd branch: closed form is r_count itself
 
 
+def exp_weyl_sum(angs, k):
+    """|sum of e^{ik theta}| / N with one cmath.exp per term: the oracle of the
+    library's one Weyl sum, quadfield._weyl_sums, which multiplies unit phases."""
+    return abs(sum(cmath.exp(1j * k * a) for a in angs)) / len(angs) if angs else 0.0
+
+
 class TestWeylSums:
     def test_unit_norm_all_k(self):
         for q in (7, 11, 19, 43, 67, 163):
@@ -622,8 +629,35 @@ class TestWeylSums:
                     assert abs(v_k(f, 1, k) - vals[0]) <= 1e-12
 
     def test_profile_matches_single_queries(self):
-        f = field(11)
-        for M in (9, 20, 45):
-            prof = weyl_profile(f, M, 8)
-            for k in range(1, 9):
-                assert abs(prof[k - 1] - v_k(f, M, k)) < 1e-12
+        # each entry of the composed profile against its own exponential sum
+        worst = 0.0
+        for f in all_fields():
+            for M in range(1, 300):
+                angs = restricted_angles(f, M)
+                prof = weyl_profile(f, M, 24)
+                assert len(prof) == 24
+                for k in range(1, 25):
+                    worst = max(worst, abs(prof[k - 1] - exp_weyl_sum(angs, k)))
+        assert worst < 1e-12
+
+    def test_v_k_reads_the_profile(self):
+        # one Weyl sum: v_k is the profile's last entry, bit for bit
+        for f in all_fields():
+            for M in range(1, 300):
+                prof = weyl_profile(f, M, 24)
+                for k in range(1, 25):
+                    assert v_k(f, M, k) == prof[k - 1], (f.q, M, k)
+                    assert v_k(f, M, -k) == prof[k - 1], (f.q, M, -k)
+
+    def test_v_0_is_the_norm_indicator(self):
+        for f in all_fields():
+            for M in range(1, 120):
+                assert v_k(f, M, 0) == (1.0 if b_indicator(f, M) else 0.0), (f.q, M)
+
+    def test_off_a_norm(self):
+        # 3 is inert in Z[i]: no element, so every sum is zero by definition
+        f = field(4)
+        assert restricted_angles(f, 3) == []
+        for k in (1, 2, 5, -3):
+            assert v_k(f, 3, k) == 0.0
+        assert weyl_profile(f, 3, 6) == [0.0] * 6

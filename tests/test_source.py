@@ -60,6 +60,20 @@ def test_progression_path_never_factorizes():
     assert found == []
 
 
+def _functions_naming(name):
+    """'<file>: <function>' for every function of the package that names name."""
+    return sorted(f"{path.relative_to(SRC)}: {node.name}"
+                  for path in sorted(SRC.rglob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                  if isinstance(node, ast.FunctionDef) and name in _names(node))
+
+
+def test_one_weyl_sum():
+    # every e^{ik theta} in the package comes from _weyl_sums' products of unit
+    # phases; the exponential sum is the tests' oracle, not a second path
+    assert _functions_naming("exp") == ["heegner_circles/quadfield.py: _weyl_sums"]
+
+
 #: The package's public names, kept working across redesigns: a removal or
 #: rename shows up here rather than in a caller.
 PUBLIC_NAMES = """
@@ -85,10 +99,5 @@ def test_public_names_still_resolve():
 def test_only_the_reach_check_reads_the_prime_table():
     # the prime table stops at 10^7, so a form over terms past 10^14 is sieved
     # short: every sieve form takes its primes from the one function that checks
-    files = sorted(SRC.rglob("*.py"))
-    found = sorted(f"{path.relative_to(SRC)}: {node.name}"
-                   for path in files
-                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-                   if isinstance(node, ast.FunctionDef) and node.name != "prime_table"
-                   and "prime_table" in _names(node))
-    assert found == ["heegner_circles/bnumbers.py: _sieving_primes"]
+    assert _functions_naming("prime_table") == ["heegner_circles/bnumbers.py: _sieving_primes",
+                                                "heegner_circles/quadfield.py: prime_table"]
