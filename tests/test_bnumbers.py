@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import factorint
+from sympy import factorint, nextprime
 from sympy.functions.combinatorial.numbers import kronecker_symbol
 
 from heegner_circles import bnumbers, quadfield
@@ -506,6 +506,55 @@ class TestLinearForm:
             tracemalloc.stop()
         assert len(forms) == 2 and len(forms[0].primes) > 7 * 10 ** 4
         assert held <= 5 * 10 ** 6, held
+
+
+class TestIndicatorBlock:
+    @pytest.mark.parametrize("q", [f.q for f in all_fields()])
+    @pytest.mark.parametrize("top", [10 ** 6, 10 ** 9, 10 ** 12])
+    def test_matches_b_indicator_around_every_power_of_the_ramified_prime(self, q, top):
+        # chi of the cofactor is read per level l^v <= top, so the windows sit on
+        # l^v * b for b = 1, the least and the largest residue with chi(b) = -1
+        # and the least inert and split primes above sqrt(top), the cofactors
+        # no sieving prime sees, each as a block of 7 and as a block of 1;
+        # b_indicator factorizes m
+        f, form = field(q), integers_form(top)
+        inert = np.flatnonzero(quadfield.chi_table(f) == -1).tolist()
+        large = {}
+        p = isqrt(top)
+        while len(large) < 2:
+            p = nextprime(p)
+            large.setdefault(chi(f, p), p)
+        windows, level = [(1, 50), (top - 49, 50)], 1
+        while level <= top:
+            for m in (level, level * inert[0], level * inert[-1],
+                      level * large[-1], level * large[1]):
+                lo = max(1, m - 3)
+                if m <= top:
+                    windows += [(m, 1), (lo, min(7, top + 1 - lo))]
+            level *= f.ramified_prime
+        for lo, n in windows:
+            got = bnumbers._indicator_block(f, form, lo, n).tolist()
+            assert got == [b_indicator(f, m) for m in range(lo, lo + n)], (q, top, lo)
+
+    @pytest.mark.parametrize("lo,n", [(200, 20), (0, 5), (95, 7)])
+    def test_rejects_m_outside_the_form(self, lo, n):
+        # the form over tops <= 100 sieves by the primes <= 10 only, so
+        # 209 = 11 * 19, both inert, would read as a norm value
+        assert not b_indicator(field(4), 209)
+        with pytest.raises(ValueError, match="sieves 1 <= m <= 100"):
+            bnumbers._indicator_block(field(4), integers_form(100), lo, n)
+
+    def test_builds_no_int64_array_per_integer(self):
+        # one bool array and the parity arrays of the small inert primes
+        f, S = field(4), 1 << 18
+        form = integers_form(10 ** 7)
+        tracemalloc.start()
+        try:
+            bnumbers._indicator_block(f, form, 10 ** 7 - S, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * S, peak / S
 
 
 class TestRCountArray:
