@@ -250,7 +250,18 @@ def _shifted_counts(fld: Discriminant, xs: list[float], h: int) -> list[int]:
 @dataclass(frozen=True)
 class ProgressionSpec:
     """n = n1 * j + n0 such that n(n + h)/(4^sigma q) is odd, coprime to q,
-    and a norm value exactly when both n and n + h are."""
+    and a norm value exactly when both n and n + h are.
+
+    Construction checks, in O(1), that b(n) b(n + h) = b(m1 m2) on every
+    term j >= 1, so every spec, however built, is valid.  With d = 4^sigma q,
+    m1 = n/d and m2 = n + h, chi(h) = 1 and seven conditions give, for every
+    j: d | n; m1 odd (n1/d even, n0/d odd); m2 odd (n1 even, n0 + h odd); and
+    gcd(n, n + h) = gcd(n0, h) = 1 (h | n1).  So m1 and m2 are coprime and
+    b(m1 m2) = b(m1) b(m2), b being a condition on each prime's exponent;
+    and n = 4^sigma q m1 adds to m1 only the ramified prime and an even power
+    of 2, so b(n) = b(m1).  Reading b off the sieve forms term by term
+    instead would compare b(m1) b(m2) with itself.
+    """
 
     field: Discriminant
     h_original: int
@@ -260,6 +271,21 @@ class ProgressionSpec:
     n1: int
     negated: bool
 
+    def __post_init__(self) -> None:
+        d, h, n0, n1 = self.denominator, self.h_normalized, self.n0, self.n1
+        prefix = f"q={self.field.q} h={self.h_original}: "
+        if chi(self.field, h) != 1:   # chi(0) = 0: h = 0 stops here, before n1 % h
+            raise IdentityError(f"{prefix}chi of the normalized shift {h} is not 1")
+        for holds, failure in ((n0 % d == 0, f"{d} does not divide n0={n0}"),
+                               (n1 % d == 0, f"{d} does not divide n1={n1}"),
+                               (n1 // d % 2 == 0, f"n1/{d} = {n1 // d} is odd"),
+                               (n1 % h == 0, f"h={h} does not divide n1={n1}"),
+                               (gcd(n0, h) == 1, f"n0={n0} and h={h} share a factor"),
+                               (n0 // d % 2 == 1, f"n0/{d} = {n0 // d} is even"),
+                               ((n0 + h) % 2 == 1, f"n0 + h = {n0 + h} is even")):
+            if not holds:
+                raise IdentityError(prefix + failure)
+
     @property
     def denominator(self) -> int:
         return 4 ** self.sigma * self.field.q
@@ -267,9 +293,6 @@ class ProgressionSpec:
     def term(self, j: int) -> tuple[int, int, int]:
         """(n, m1, m2) at index j, with m1 * m2 = n (n + h) / denominator."""
         n = self.n1 * j + self.n0
-        if n % self.denominator:
-            raise IdentityError(f"q={self.field.q} h={self.h_original} j={j}: "
-                                f"{self.denominator} does not divide n={n}")
         return n, n // self.denominator, n + self.h_normalized
 
 
@@ -297,8 +320,6 @@ def build_progression(fld: Discriminant, h: int) -> ProgressionSpec:
     negated = chi(fld, h) == -1
     if negated:
         h = -h
-    if chi(fld, h) != 1:
-        raise IdentityError(f"q={q} h={h_orig}: chi of the normalized shift {h} is not 1")
     base_mod = q * q * abs(h)
     if q % 2 == 0:
         sigma, n1, n0 = 1, 4 * base_mod, 4 * q   # 4q < 4 q^2 |h| always
@@ -306,32 +327,7 @@ def build_progression(fld: Discriminant, h: int) -> ProgressionSpec:
         sigma, n1, n0 = 1, 8 * base_mod, _crt(q, base_mod, 4, 8)
     else:
         sigma, n1, n0 = 0, base_mod, q   # q < q^2 |h| always
-    spec = ProgressionSpec(fld, h_orig, h, sigma, n0, n1, negated)
-    _check_progression(spec)
-    return spec
-
-
-def _check_progression(spec: ProgressionSpec) -> None:
-    """Check b(n) b(n + h) = b(m1 m2) on every term j >= 1, in O(1).
-
-    With d = 4^sigma q, n = n1 j + n0, m1 = n/d and m2 = n + h, the seven
-    conditions below give, for every j: d | n; m1 odd (n1/d even, n0/d odd);
-    m2 odd (n1 even, n0 + h odd); and gcd(n, n + h) = gcd(n0, h) = 1 (h | n1).
-    So m1 and m2 are coprime and b(m1 m2) = b(m1) b(m2), b being a condition
-    on each prime's exponent; and n = 4^sigma q m1 adds to m1 only the
-    ramified prime and an even power of 2, so b(n) = b(m1).  Reading b off
-    the sieve forms term by term instead would compare b(m1) b(m2) with itself.
-    """
-    d, h, n0, n1 = spec.denominator, spec.h_normalized, spec.n0, spec.n1
-    for holds, failure in ((n0 % d == 0, f"{d} does not divide n0={n0}"),
-                           (n1 % d == 0, f"{d} does not divide n1={n1}"),
-                           (n1 // d % 2 == 0, f"n1/{d} = {n1 // d} is odd"),
-                           (n1 % h == 0, f"h={h} does not divide n1={n1}"),
-                           (gcd(n0, h) == 1, f"n0={n0} and h={h} share a factor"),
-                           (n0 // d % 2 == 1, f"n0/{d} = {n0 // d} is even"),
-                           ((n0 + h) % 2 == 1, f"n0 + h = {n0 + h} is even")):
-        if not holds:
-            raise IdentityError(f"q={spec.field.q} h={spec.h_original}: {failure}")
+    return ProgressionSpec(fld, h_orig, h, sigma, n0, n1, negated)
 
 
 @dataclass(frozen=True)
@@ -361,7 +357,6 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
     """
     if fld != spec.field:
         raise ValueError(f"progression of q={spec.field.q} sifted in q={fld.q}")
-    _check_progression(spec)
     if not math.isfinite(y):
         raise ValueError(f"y must be finite, not {y}")
     Y = int(math.floor(y))

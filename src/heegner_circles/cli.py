@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -256,8 +257,7 @@ def cmd_survey(args) -> int:
         raise ValueError("--x capped at 10^7")
     fld = field(int(args.q))
     stream = equidist.SurveyStream(fld, args.x)
-    header = ["two_n", "omega", "Omega", "in_B_flat", "log2_r_star",
-              "point_count", "gamma_count", "discrepancy"]
+    header = [f.name for f in dataclasses.fields(equidist.SurveyRow)]
 
     def meta() -> dict:   # the summary's fields after q and X, its tuples as lists
         fields = list(vars(stream.summary).items())[2:]
@@ -308,7 +308,9 @@ def cmd_bnumbers(args) -> int:
 
 def _bnumbers_sieve_table(args, fld: Discriminant) -> int:
     """Progression sieve view: --x is the index bound y; --s (or --z) sets
-    the sifting cut z = y^(1/s) (or z directly)."""
+    the sifting cut z = y^(1/s) (or z directly), not both."""
+    if args.s is not None and args.z is not None:
+        raise ValueError("--s and --z are exclusive")
     y = args.x
     if y > 10 ** 7:
         raise ValueError("--x capped at 10^7 in the sieve view")

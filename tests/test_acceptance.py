@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and the measured values they rest on.
 """
+import itertools
 import math
 import random
 import statistics
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from heegner_circles import bnumbers, circles, equidist, halfplane, quadfield
-from heegner_circles.circles import Radius
+from heegner_circles.circles import Radius, iter_radii
 from heegner_circles.cli import main
 from heegner_circles.halfplane import UnimodularMatrix
 from heegner_circles.quadfield import all_fields, field
@@ -234,21 +235,15 @@ class TestCriterion06WeylFunctionLaws:
 
     def test_sharp_factorization_first_twenty(self):
         bad = []
-        for q in (3, 7, 11, 19, 43, 67, 163):
-            f = field(q)
-            sharp = []
-            two_n = q
-            while len(sharp) < 20 and two_n < 10 ** 7:
-                two_n += 2 * q
-                n_plus, n_minus = (two_n + q) // 2, (two_n - q) // 2
-                if quadfield.b_indicator(f, n_plus) and quadfield.b_indicator(f, n_minus):
-                    sharp.append(Radius(f, two_n))
-            assert len(sharp) == 20, q
+        for f in all_fields():
+            sharp = list(itertools.islice(
+                (r for r in iter_radii(f, 10 ** 7) if equidist.in_sharp_set(r)), 20))
+            assert len(sharp) == 20, f.q
             for radius in sharp:
-                for k in range(1, 11):
+                for k in range(1, 13):
                     if not equidist.sharp_factorization_check(f, radius, k):
-                        bad.append((q, radius.two_n, k))
-        _report(6, "sharp-set factorization, 20 radii per odd q (part 4)",
+                        bad.append((f.q, radius.two_n, k))
+        _report(6, "sharp-set factorization, 20 radii in each of the nine fields (part 4)",
                 not bad, f"failures: {bad[:3]}")
         assert not bad
 

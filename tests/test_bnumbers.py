@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -168,7 +169,7 @@ class TestBuildProgression:
         (67, 2), (67, -5), (163, 1), (163, -10),
     ])
     def test_indicator_identity_on_terms(self, q, h):
-        # the per-term oracle of what _check_progression proves for every j
+        # the per-term oracle of what ProgressionSpec's construction proves for every j
         f = field(q)
         sp = build_progression(f, h)
         for j in range(1, 101):
@@ -224,20 +225,25 @@ class TestBuildProgression:
         held = [n0 % d == 0, n1 % d == 0, n1 // d % 2 == 0, n1 % h == 0,
                 math.gcd(n0, h) == 1, n0 // d % 2 == 1, (n0 + h) % 2 == 1]
         assert held.count(False) == 1, held   # the spec breaks exactly one
-        bad = bnumbers.ProgressionSpec(f, 5, h, sigma, n0, n1, True)
+        # a spec is checked when it is built, so no invalid spec reaches _sift
         with pytest.raises(IdentityError, match=re.escape(message)):
-            bnumbers._check_progression(bad)
+            bnumbers.ProgressionSpec(f, 5, h, sigma, n0, n1, True)
+        sp = build_progression(f, 5)
         with pytest.raises(IdentityError, match=re.escape(message)):
-            _sift(f, bad, 10, 50)
+            dataclasses.replace(sp, sigma=sigma, n0=n0, n1=n1)
 
     def test_indivisible_term_raises(self):
         sp = build_progression(field(3), 1)
-        bad = bnumbers.ProgressionSpec(sp.field, sp.h_original, sp.h_normalized,
-                                       sp.sigma, sp.n0 + 1, sp.n1, sp.negated)
-        with pytest.raises(IdentityError):
-            bad.term(1)
-        with pytest.raises(IdentityError):
-            _sift(sp.field, bad, 10, 50)
+        with pytest.raises(IdentityError, match="does not divide n0"):
+            dataclasses.replace(sp, n0=sp.n0 + 1)
+
+    @pytest.mark.parametrize("h", [5, 0])
+    def test_shift_with_chi_not_one_raises(self, h):
+        # chi(5) = -1 for q = 3, which build_progression negates away; chi(0) = 0
+        sp = build_progression(field(3), 5)
+        assert sp.h_normalized == -5
+        with pytest.raises(IdentityError, match=f"chi of the normalized shift {h} is not 1"):
+            dataclasses.replace(sp, h_normalized=h)
 
     def test_odd_inert_count_raises(self, monkeypatch):
         # inert primes enter each term in pairs; reading the split class 1 (mod 3)

@@ -529,6 +529,8 @@ USAGE_ERRORS = [
      "bnumbers: --s must exceed 1"),
     (["bnumbers", "--q", "3", "--x", "100", "--h", "1", "--s", "inf"],
      "bnumbers: --s must be finite"),
+    (["bnumbers", "--q", "3", "--x", "5", "--h", "1", "--s", "2.5", "--z", "3"],
+     "bnumbers: --s and --z are exclusive"),
     (["survey", "--q", "3", "--x", "nan"], "survey: --x must be a number"),
     (["count", "--q", "3", "--x", "nan"], "count: --x must be a number"),
     (["bnumbers", "--q", "3", "--x", "nan", "--h", "1"], "bnumbers: --x must be a number"),
@@ -543,7 +545,7 @@ USAGE_ERRORS = [
                               "circle-parity", "survey-cap", "count-cap", "bnumbers-cap",
                               "sieve-x-cap", "bnumbers-h-cap", "bnumbers-negative-h-cap",
                               "sieve-x-below-1", "sieve-z", "sieve-s", "sieve-z-nan",
-                              "sieve-s-nan", "sieve-s-inf", "survey-x-nan",
+                              "sieve-s-nan", "sieve-s-inf", "sieve-s-and-z", "survey-x-nan",
                               "count-x-nan", "bnumbers-x-nan", "bnumbers-x-minus-inf",
                               "plot-cap", "plot-invalid"])
 def test_usage_error(capsys, argv, message):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -12,19 +13,18 @@ from hypothesis import strategies as st
 
 from conftest import radii_within
 from heegner_circles import bnumbers, equidist, quadfield
-from heegner_circles.circles import (Radius, angles, brute_force_by_radius,
+from heegner_circles.circles import (Radius, angles, brute_force_by_radius, iter_radii,
                                      lattice_points, radii_up_to, stabilizer_size)
 from heegner_circles.equidist import (RATE_EXPONENT, circle_discrepancy,
                                       circle_problem_sum, default_harmonic_cutoff,
                                       direct_cosh_count, discrepancy_report,
                                       et_bound, gamma_count, in_sharp_set,
                                       matrix_angle_discrepancy,
-                                      sharp_factorization_check,
-                                      sharp_power_hits, survey,
+                                      sharp_factorization_check, survey,
                                       _discrepancy_pairs)
 from heegner_circles.quadfield import (IdentityError, all_fields, factorize,
                                        field, r_count_from_factors,
-                                       restricted_elements, v_k)
+                                       restricted_elements, v_k, weyl_profile)
 
 
 class TestDiscrepancy:
@@ -183,20 +183,40 @@ class TestSharpFactorization:
                     assert abs(lhs - rhs) <= 1e-9
 
     def test_odd_k_left_side_vanishes(self):
-        f = field(7)
-        sharp = [r for r in radii_within(f, 400) if in_sharp_set(r)][:6]
-        for radius in sharp:
-            for k in (1, 3, 5):
-                assert v_k(f, radius.norm_product, k) <= 1e-12
+        # the first five sharp radii of each of the nine fields
+        for f in all_fields():
+            sharp = list(itertools.islice(
+                (r for r in iter_radii(f, 10 ** 5) if in_sharp_set(r)), 5))
+            assert len(sharp) == 5, f.q
+            for radius in sharp:
+                for k in (1, 3, 5, 7, 9, 11):
+                    assert v_k(f, radius.norm_product, k) <= 1e-12, (f.q, radius.two_n, k)
 
-    def test_even_q_power_report(self):
+    def test_even_k_identity_even_q(self):
+        # every sharp radius with two_n <= 3000 of q = 4 and 8, for k <= 12:
+        # n_plus/2 and n_minus/2 stay even, and v_k factors through l = 2
         for q in (4, 8):
             f = field(q)
-            sharp = [r for r in radii_within(f, 300) if in_sharp_set(r)][:6]
-            assert sharp
+            sharp = [r for r in radii_within(f, 1500) if in_sharp_set(r)]
+            assert len(sharp) > 20, q
             for radius in sharp:
-                for k in (2, 4, 6):
-                    assert sharp_power_hits(f, radius, k), (q, radius.two_n, k)
+                assert radius.n_plus % 4 == radius.n_minus % 4 == 0, radius.two_n
+                lhs = weyl_profile(f, radius.norm_product, 12)
+                for k in range(2, 13, 2):
+                    rhs = v_k(f, radius.n_plus // 2, k) * v_k(f, radius.n_minus // 2, k)
+                    assert abs(lhs[k - 1] - rhs) <= 1e-9, (q, radius.two_n, k)
+                for k in range(1, 13):
+                    assert sharp_factorization_check(f, radius, k), (q, radius.two_n, k)
+
+    @pytest.mark.parametrize("q", [4, 11])
+    def test_perturbed_left_side_fails(self, monkeypatch, q):
+        # the check compares both sides: moving v_k(n_plus n_minus) alone by
+        # 1e-6 fails it for every k, odd and even
+        f = field(q)
+        radius = next(r for r in radii_within(f, 200) if in_sharp_set(r))
+        monkeypatch.setattr(equidist, "v_k", lambda fld, M, k: v_k(fld, M, k)
+                            + (1e-6 if M == radius.norm_product else 0.0))
+        assert not any(sharp_factorization_check(f, radius, k) for k in range(1, 9))
 
     def test_reads_c4_as_the_ramified_test(self):
         # c4 = 2, in_sharp_set and the spelled-out ramified test agree on
@@ -215,8 +235,6 @@ class TestSharpFactorization:
         assert sharp_factorization_check(field(3), radius, 2)
         with pytest.raises(ValueError, match=f"radius of q=3 read in q={q}"):
             sharp_factorization_check(field(q), radius, 2)
-        with pytest.raises(ValueError, match=f"radius of q=3 read in q={q}"):
-            sharp_power_hits(field(q), radius, 2)
 
     def test_non_sharp_rejected(self):
         f = field(3)

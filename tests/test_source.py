@@ -53,9 +53,10 @@ def test_progression_path_never_factorizes():
     # sieve alone; per-term factorization is the tests' oracle
     path = SRC / "heegner_circles" / "bnumbers.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    found = sorted(f"{node.name}: {name}" for node in ast.walk(tree)
-                   if isinstance(node, ast.FunctionDef)
-                   and node.name in ("build_progression", "_check_progression", "_sift")
+    path_functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                      and node.name in ("build_progression", "__post_init__", "_sift")]
+    assert len(path_functions) == 3
+    found = sorted(f"{node.name}: {name}" for node in path_functions
                    for name in _names(node) if name in ("factorize", "b_indicator"))
     assert found == []
 
@@ -72,6 +73,39 @@ def test_one_weyl_sum():
     # every e^{ik theta} in the package comes from _weyl_sums' products of unit
     # phases; the exponential sum is the tests' oracle, not a second path
     assert _functions_naming("exp") == ["heegner_circles/quadfield.py: _weyl_sums"]
+
+
+def _reads_q(node):
+    return (isinstance(node, ast.Name) and node.id == "q"
+            or isinstance(node, ast.Attribute) and node.attr == "q")
+
+
+def _q_parity_tests(tree):
+    """'<function>: <line>' for each q % 2, q & 1, or comparison of q with 4 or 8."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            parity = (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mod, ast.BitAnd))
+                      and _reads_q(node.left) and isinstance(node.right, ast.Constant)
+                      and node.right.value in (1, 2))
+            even_q = (isinstance(node, ast.Compare) and _reads_q(node.left)
+                      and any(isinstance(c, ast.Constant) and c.value in (4, 8)
+                              or isinstance(c, (ast.Tuple, ast.Set, ast.List))
+                              and {4, 8} & {e.value for e in c.elts if isinstance(e, ast.Constant)}
+                              for c in node.comparators))
+            if parity or even_q:
+                yield f"{fn.name}: {node.lineno}"
+
+
+def test_equidist_has_one_rule_for_every_field():
+    # the sharp-set identity reads the ramified prime of every field alike; a
+    # branch on the parity of q would bring back a rule of its own for q = 4, 8
+    path = SRC / "heegner_circles" / "equidist.py"
+    assert list(_q_parity_tests(ast.parse(path.read_text(encoding="utf-8"), str(path)))) == []
+    # the check itself sees such a branch
+    both = "def f(fld):\n    if fld.q % 2 == 1:\n        pass\ndef g(q):\n    return q in (4, 8)\n"
+    assert list(_q_parity_tests(ast.parse(both))) == ["f: 2", "g: 5"]
 
 
 #: The package's public names, kept working across redesigns: a removal or
