@@ -180,13 +180,16 @@ def enumerate_pairs(radius: Radius) -> list[SplitPair]:
 def pairs_to_matrices(radius: Radius, pairs: list[SplitPair]) -> list[UnimodularMatrix]:
     """Map pairs through the inverse transform; exact bijection onto the circle.
 
-    Non-integrality inside matrix_from_split means the congruence filter is
-    broken and is allowed to raise.
+    A pair with no matrix means the congruence filter is broken: IdentityError.
     """
     fld = radius.field
     out = []
     for p in pairs:
-        g = matrix_from_split(fld, *p.rust)
+        try:
+            g = matrix_from_split(fld, *p.rust)
+        except ValueError as exc:   # from matrix_from_split or UnimodularMatrix
+            raise IdentityError(f"q={fld.q} two_n={radius.two_n}: pair {p.rust} "
+                                f"has no matrix: {exc}") from exc
         two_n = arithmetic_radius(fld, g)
         if two_n != radius.two_n:
             raise IdentityError(f"q={fld.q} two_n={radius.two_n}: pair {p.rust} "

@@ -31,8 +31,12 @@ PALETTE = ("#e858a2", "#a8653a", "#3c6fd1", "#3ba05d", "#8458c9",
 # Output plumbing
 
 def _opened(out: str | None):
-    return (contextlib.nullcontext(sys.stdout) if out is None or out == "-"
-            else open(out, "w", encoding="utf-8", newline=""))
+    if out is None or out == "-":
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:   # a usage error (exit 2), not an identity failure (exit 1)
+        raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -229,7 +233,7 @@ def cmd_circle(args) -> int:
             continue
         for pt in circles.lattice_points(radius):
             for p in radius.pairs_by_point[(pt.h, pt.Y)]:
-                a, b, c, d = halfplane.matrix_from_split(fld, *p.rust).entries()
+                a, b, c, d = circles.pairs_to_matrices(radius, [p])[0].entries()
                 r, u, s, t = p.rust
                 rows.append([two_n, pt.h, pt.Y, f"{pt.display_angle():.12f}",
                              a, b, c, d, r, u, s, t])
@@ -259,9 +263,9 @@ def cmd_survey(args) -> int:
     stream = equidist.SurveyStream(fld, args.x)
     header = [f.name for f in dataclasses.fields(equidist.SurveyRow)]
 
-    def meta() -> dict:   # the summary's fields after q and X, its tuples as lists
-        fields = list(vars(stream.summary).items())[2:]
-        return {"x": args.x, **{k: list(v) if isinstance(v, tuple) else v for k, v in fields}}
+    def meta() -> dict:   # the summary's fields but q and X, its tuples as lists
+        return {"x": args.x, **{k: list(v) if isinstance(v, tuple) else v
+                                for k, v in vars(stream.summary).items() if k not in ("q", "X")}}
 
     rows = (tuple(getattr(r, col) for col in header) for r in stream)
     _emit_table(args, "survey", fld.q, header, rows, meta)
@@ -351,6 +355,10 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
+def _circle(cx: float, cy: float, r: str, attrs: str) -> str:
+    return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{r}" {attrs}/>\n'
+
+
 def cmd_plot(args) -> int:
     fld = field(int(args.q))
     q = fld.q
@@ -370,47 +378,36 @@ def cmd_plot(args) -> int:
     parts.append(f'<line x1="0" y1="{HH - 1}" x2="{HW}" y2="{HH - 1}" '
                  f'stroke="#222222" stroke-width="1"/>\n')
     zq = fld.z
-    parts.append(f'<circle cx="{_fmt(HW / 2 + zq.real * SC)}" cy="{_fmt(HH - zq.imag * SC)}" '
-                 f'r="3" fill="#222222" class="centre-point"/>\n')
+    parts.append(_circle(HW / 2 + zq.real * SC, HH - zq.imag * SC, "3",
+                         'fill="#222222" class="centre-point"'))
     lam = math.sqrt(q) / 2.0
     for i, radius in enumerate(radii):
         color = PALETTE[i % len(PALETTE)]
         ch = radius.two_n / q
         cy = lam * ch
         rad = lam * math.sqrt(max(0.0, ch * ch - 1.0))
-        parts.append(f'<circle cx="{_fmt(HW / 2 + zq.real * SC)}" cy="{_fmt(HH - cy * SC)}" '
-                     f'r="{_fmt(rad * SC)}" fill="none" stroke="{color}" '
-                     f'stroke-width="1" class="geodesic-circle"/>\n')
-        mats = circles.pairs_to_matrices(radius, radius.pairs)
-        seen = set()
-        for g in mats:
+        parts.append(_circle(HW / 2 + zq.real * SC, HH - cy * SC, _fmt(rad * SC), f'fill="none" '
+                             f'stroke="{color}" stroke-width="1" class="geodesic-circle"'))
+        # one matrix per point (h, Y): the least of its pair group's matrices
+        for g in sorted(circles.pairs_to_matrices(radius, ps)[0]
+                        for ps in radius.pairs_by_point.values()):
             w = halfplane.apply_mobius(g, zq)
-            key = (round(w.real, 9), round(w.imag, 9))
-            if key in seen:
-                continue
-            seen.add(key)
             px, py = HW / 2 + w.real * SC, HH - w.imag * SC
             if -10 <= px <= HW + 10 and -10 <= py <= HH + 10:
-                parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" '
-                             f'fill="{color}" class="halfplane-point"/>\n')
+                parts.append(_circle(px, py, "2.5", f'fill="{color}" class="halfplane-point"'))
     # disc pane
     ox = HW
-    parts.append(f'<circle cx="{_fmt(ox + DC)}" cy="{_fmt(DC)}" r="{_fmt(DS)}" '
-                 f'fill="none" stroke="#222222" stroke-width="1"/>\n')
-    parts.append(f'<circle cx="{_fmt(ox + DC)}" cy="{_fmt(DC)}" r="2" fill="#222222" '
-                 f'class="centre-point"/>\n')
+    parts.append(_circle(ox + DC, DC, _fmt(DS), 'fill="none" stroke="#222222" stroke-width="1"'))
+    parts.append(_circle(ox + DC, DC, "2", 'fill="#222222" class="centre-point"'))
     for i, radius in enumerate(radii):
         color = PALETTE[i % len(PALETTE)]
         rim = math.sqrt((radius.two_n - q) / (radius.two_n + q))
-        parts.append(f'<circle cx="{_fmt(ox + DC)}" cy="{_fmt(DC)}" r="{_fmt(rim * DS)}" '
-                     f'fill="none" stroke="{color}" stroke-width="0.75" '
-                     f'class="image-circle"/>\n')
+        parts.append(_circle(ox + DC, DC, _fmt(rim * DS), f'fill="none" stroke="{color}" '
+                             'stroke-width="0.75" class="image-circle"'))
         for pt in circles.lattice_points(radius):
             x, y = pt.xy()
-            px = ox + DC + (x / radius.n_plus) * DS
-            py = DC - (y / radius.n_plus) * DS
-            parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" '
-                         f'fill="{color}" class="disc-point"/>\n')
+            px, py = ox + DC + (x / radius.n_plus) * DS, DC - (y / radius.n_plus) * DS
+            parts.append(_circle(px, py, "3", f'fill="{color}" class="disc-point"'))
     parts.append("</svg>\n")
     _emit("".join(parts), args.out)
     return 0

@@ -392,7 +392,7 @@ def _split_coords(fld: Discriminant, p: int) -> tuple[int, int]:
     for r, w in _quadrant(fld.q, 4 * p):
         if r and (w - tm * r) % 2 == 0:
             return _split_gen_cache.setdefault(key, ((w - tm * r) // 2, r))
-    raise ValueError(f"{p} is not split for q={fld.q}")
+    raise IdentityError(f"chi calls {p} split for q={fld.q}, but no element has norm {p}")
 
 
 def _unit_blocks(fld: Discriminant, M: int,

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -29,6 +30,12 @@ def validate_json(doc, row_schema_name):
     row_schema = SCHEMAS["$defs"][row_schema_name]
     for row in doc["rows"]:
         jsonschema.validate(row, row_schema)
+
+
+def _call_two_split_for_q3(monkeypatch):
+    original = quadfield.chi
+    monkeypatch.setattr(quadfield, "chi",
+                        lambda fld, n: 1 if (fld.q, n) == (3, 2) else original(fld, n))
 
 
 class TestVerify:
@@ -68,6 +75,21 @@ class TestVerify:
         code, out = run(capsys, "verify", "--q", "3", "--max-two-n", "60")
         assert code == 1
         assert "\nFAIL identity q=3: " in out
+
+    def test_pair_without_matrix_is_a_fail_line(self, capsys, monkeypatch):
+        # inverted congruence filter: the pairs kept have no integer matrix
+        original = circles.congruence_holds
+        monkeypatch.setattr(circles, "congruence_holds", lambda *a: not original(*a))
+        code, out = run(capsys, "verify", "--q", "7", "--max-two-n", "40")
+        assert code == 1
+        assert "\nFAIL identity q=7: q=7 two_n=9: pair (1, -3, 0, -1) has no matrix" in out
+
+    def test_inert_prime_called_split_is_a_fail_line(self, capsys, monkeypatch):
+        _call_two_split_for_q3(monkeypatch)
+        code, out = run(capsys, "verify", "--q", "3", "--max-two-n", "40")
+        assert code == 1
+        assert out.endswith("\nFAIL identity q=3: chi calls 2 split for q=3, "
+                            "but no element has norm 2\n")
 
     def test_same_bytes_under_python_O(self):
         # every check raises IdentityError, so -O (asserts stripped) changes nothing;
@@ -393,12 +415,32 @@ class TestPlot:
         code, _ = run(capsys, "plot", "--q", "11", "--two-n", f"29,{10 ** 9 + 1}")
         assert code == 2
 
+    def test_pair_without_matrix_exits_1(self, capsys, monkeypatch):
+        original = circles.congruence_holds
+        monkeypatch.setattr(circles, "congruence_holds", lambda *a: not original(*a))
+        code = main(["plot", "--q", "7", "--two-n", "9"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("plot: identity failed: q=7 two_n=9: pair (1, -3, 0, -1) "
+                              "has no matrix: ")
+
     def test_colors_fixed_palette(self, capsys, tmp_path):
         out_path = tmp_path / "c.svg"
         main(["plot", "--q", "11", "--two-n", "29,61", "--out", str(out_path)])
         svg = out_path.read_text()
         used = set(re.findall(r'fill="(#[0-9a-f]{6})"', svg))
         assert cli.PALETTE[0] in used and cli.PALETTE[1] in used
+
+
+@pytest.mark.parametrize("argv", [["circle", "--q", "3", "--two-n", "11"],
+                                  ["survey", "--q", "3", "--x", "20"]], ids=["circle", "survey"])
+def test_inert_prime_called_split_exits_1(capsys, monkeypatch, argv):
+    # n_minus = 4 at two_n = 11: chi(2) = 1 sends the inert 2 to _split_coords
+    _call_two_split_for_q3(monkeypatch)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert (code, err) == (1, f"{argv[0]}: identity failed: chi calls 2 split for q=3, "
+                              "but no element has norm 2\n")
 
 
 class TestClosedStdout:
@@ -435,6 +477,12 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([])
         assert exc.value.code == 2
+
+
+def _plot_all(q: int, max_two_n: int = 600) -> list[str]:
+    """plot argv for every realized radius of field q with two_n <= max_two_n."""
+    radii = circles.radii_up_to(quadfield.field(q), max_two_n / 2)
+    return ["plot", "--q", str(q), "--two-n", ",".join(str(r.two_n) for r in radii)]
 
 
 # sha256 of stdout, recorded while the library still ran the direct point
@@ -483,6 +531,19 @@ GOLDEN_STDOUT = [
     # when count still factorized every realized radius
     (["count", "--q", "163", "--x", "1e5"],
      "d8499aa06694323cab06557d3ba606e3b8a0b5b4c82ed49e0a9bb0fe37f52451"),
+    # SVGs, recorded while plot still told points apart by rounded floats:
+    # the README example, then every realized radius with two_n <= 600
+    (["plot", "--q", "11", "--two-n", "29,61"],
+     "b653f2b92cd5d5f2846f6c892cf8f11d610c6777beb5c7c8a289382bf69abfd8"),
+    (_plot_all(3), "f43cd30648af22de71a6294883a46fe623efa1c972a026f7aff6b3c086c3a98d"),
+    (_plot_all(4), "ae1f02a58cf4e2f93c36b63d20e4000c0171be6fb6101d73b2d02c7ed4f21c8a"),
+    (_plot_all(7), "6063d5f7d7c68d3a7946ee74f75b8314dfe9c5f0719641a3ca4007694340ea92"),
+    (_plot_all(8), "af903a8cdbf6c903460c99997314122dc49c314727593049d9e27053fb21cf86"),
+    (_plot_all(11), "797790df4fc0105562e0f7d0feb32e95b4ca6b65a47b6ef28a1da66e184cfe48"),
+    (_plot_all(19), "8c415039df657e6316b7a23dabd4c5a4628352ef107bc3526d537c85ce596b94"),
+    (_plot_all(43), "a2f629e677ebfa2b6709ce5267f6e86fc965fd6ac2913a35c12bbe31ce2ef5fc"),
+    (_plot_all(67), "b3a40e4ac3098a79fea53195aa8141cdef4defa6e3966cde5c9beae23d23b2c4"),
+    (_plot_all(163), "7c399dc63a1b3730b66498523b6554eb8828362d2e7de735684b636b80051804"),
 ]
 
 
@@ -492,7 +553,8 @@ GOLDEN_STDOUT = [
                               "circle-4e6-k8", "verify-all-200", "circle-notes-k3",
                               "survey-json", "count-json", "bnumbers-curve-json",
                               "bnumbers-s-json", "bnumbers-z-json", "circle-notes-k3-json",
-                              "count-q163-1e5"])
+                              "count-q163-1e5", "plot-readme"]
+                         + [f"plot-q{q}-600" for q in quadfield.CLASS_NUMBER_ONE_Q])
 def test_golden_stdout(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
@@ -537,6 +599,13 @@ USAGE_ERRORS = [
     (["bnumbers", "--q", "4", "--x=-inf", "--h", "1"], "bnumbers: finite x >= 1 required"),
     (["plot", "--q", "11", "--two-n", f"29,{10 ** 9 + 1}"], "plot: --two-n capped at 10^9"),
     (["plot", "--q", "11", "--two-n", "3"], "plot: invalid two_n=3 for q=11"),
+    # <tmp> is the test's empty temporary directory
+    (["count", "--q", "3", "--x", "10", "--out", "<tmp>/missing/x.csv"],
+     "count: cannot write --out <tmp>/missing/x.csv: No such file or directory"),
+    (["count", "--q", "3", "--x", "10", "--format", "json", "--out", "<tmp>/missing/x.json"],
+     "count: cannot write --out <tmp>/missing/x.json: No such file or directory"),
+    (["survey", "--q", "3", "--x", "100", "--out", "<tmp>"],
+     "survey: cannot write --out <tmp>: Is a directory"),
 ]
 
 
@@ -547,8 +616,24 @@ USAGE_ERRORS = [
                               "sieve-x-below-1", "sieve-z", "sieve-s", "sieve-z-nan",
                               "sieve-s-nan", "sieve-s-inf", "sieve-s-and-z", "survey-x-nan",
                               "count-x-nan", "bnumbers-x-nan", "bnumbers-x-minus-inf",
-                              "plot-cap", "plot-invalid"])
-def test_usage_error(capsys, argv, message):
-    code = main(argv)
+                              "plot-cap", "plot-invalid", "out-missing-dir",
+                              "out-missing-dir-json", "out-is-dir"])
+def test_usage_error(capsys, tmp_path, argv, message):
+    code = main([a.replace("<tmp>", str(tmp_path)) for a in argv])
+    message = message.replace("<tmp>", str(tmp_path))
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    # every example line of the README's CLI block exits 0; its figure is the plot golden
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(argv[0] == "heegner-circles" for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
+    digests = {tuple(argv): digest for argv, digest in GOLDEN_STDOUT}
+    figure = hashlib.sha256((tmp_path / "figure.svg").read_bytes()).hexdigest()
+    assert figure == digests[("plot", "--q", "11", "--two-n", "29,61")]
