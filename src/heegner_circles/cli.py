@@ -188,7 +188,7 @@ def _verify_field(fld: Discriminant, max_two_n: int, report: list[str]) -> str |
     sharp = [r for r in radii if equidist.in_sharp_set(r)][:5]
     for radius in sharp:
         for k in range(1, 7):
-            if not equidist.sharp_factorization_check(fld, radius, k):
+            if not equidist.sharp_factorization_check(radius, k):
                 return f"sharp-factorization q={q} two_n={radius.two_n} k={k}"
     report.append(f"q={q}: discrepancy bounds + sharp factorization ok")
     return None

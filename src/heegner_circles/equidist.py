@@ -89,13 +89,12 @@ def default_harmonic_cutoff(two_n: int) -> int:
     return max(1, math.ceil(math.log(two_n)))
 
 
-def et_bound(fld: Discriminant, radius: Radius, K: int | None = None) -> float:
+def et_bound(radius: Radius, K: int | None = None) -> float:
     """Explicit Erdos-Turan discrepancy bound 1/(K+1) + 3 sum v_k/k.
 
     The constant pair (1, 3) makes the bound a true inequality against
     circle_discrepancy, which the tests assert radius by radius.
     """
-    _check_field(fld, radius)
     return _et_bound(_radius_angles(radius), radius.two_n, K)
 
 
@@ -107,11 +106,6 @@ def _et_bound(angs: list[float], two_n: int, K: int | None) -> float:
         raise ValueError("K >= 1 required")
     prof = _weyl_sums(angs, K)
     return 1.0 / (K + 1) + 3.0 * sum(v / k for k, v in enumerate(prof, start=1))
-
-
-def _check_field(fld: Discriminant, radius: Radius) -> None:
-    if fld != radius.field:
-        raise ValueError(f"radius of q={radius.field.q} read in q={fld.q}")
 
 
 def _radius_angles(radius: Radius) -> list[float]:
@@ -249,27 +243,32 @@ def in_sharp_set(radius: Radius) -> bool:
     return radius.c4 == 2
 
 
-def sharp_factorization_check(fld: Discriminant, radius: Radius, k: int) -> bool:
-    """One rule for all nine fields, read through the ramified prime l (q
-    for odd q, 2 for q = 4, 8): with M = n_plus n_minus, for even k
-    v_k(M) = v_k(n_plus / l) * v_k(n_minus / l); for odd k v_k(M) vanishes.
+def sharp_factorization_check(radius: Radius, k: int) -> bool:
+    """One rule for all nine fields: with M = n_plus n_minus, v_k(M) =
+    v_k(n_plus) v_k(n_minus) for even k, and v_k(M) vanishes for odd k.
 
-    A radius carries points iff n_minus and n_plus are norms.  For odd q,
-    q divides both.  For q = 4, 8, were n_minus / 2 odd, n_minus / 2 and
-    n_plus / 2 would be odd norms q / 2 apart, but odd norms are 1 mod 4
-    (q = 4) or 1, 3 mod 8 (q = 8); so 4 divides both and 16 | M.  Either way
-    residue_m(M) = 0, -gamma is restricted with gamma, and odd-k sums cancel.
-    The even-k identity for q = 4, 8 is measured, not proven here; the tests
-    pin it.
+    Proof.  The ramified prime l divides n_minus, n_plus = n_minus + q and
+    M, so all their elements are restricted: sets closed under -1, so odd k
+    cancels.  Let n_minus = l^a b, n_plus = l^c d, l not dividing bd; then
+    gcd(b, d) = 1, as it divides q, a power of l.  The elements of norm l^a b
+    are g^a times those of norm b (g the ramified generator): v_k(n_minus) =
+    W(b), the mean of e^{ik theta} over all of norm b, v_k(n_plus) = W(d),
+    and v_k(M) = W(bd) = W(b) W(d), as the products of norms b and d hit
+    each of norm bd unit_count times.  Stripping l first changes nothing:
+    v_k(l m) = v_k(m) for even k (m even if q = 4).  l | m: both sets are
+    whole, g apart.  Else, q != 4: all of norm lm are restricted, g times
+    those of norm m, one of each +-beta of which is, and e^{ik(t + pi)} =
+    e^{ikt}.  q = 4, odd m: i folds k = 2 (mod 4) to 0 (v_2(5) = 0.6,
+    v_2(10) = 0), but odd n_plus / 2, n_minus / 2 differ by 2, so one is
+    3 (mod 4), no norm, and both products are 0.
     """
-    _check_field(fld, radius)
     if not in_sharp_set(radius):
         raise ValueError("radius is not in the sharp set")
+    fld = radius.field
     lhs = v_k(fld, radius.norm_product, k)
     if k % 2:
         return lhs <= 1e-12
-    ell = fld.ramified_prime
-    rhs = v_k(fld, radius.n_plus // ell, k) * v_k(fld, radius.n_minus // ell, k)
+    rhs = v_k(fld, radius.n_plus, k) * v_k(fld, radius.n_minus, k)
     return abs(lhs - rhs) <= _SHARP_TOL
 
 

@@ -21,7 +21,10 @@ from math import gcd, isqrt
 
 import numpy as np
 
-CLASS_NUMBER_ONE_Q = (3, 4, 7, 8, 11, 19, 43, 67, 163)
+#: Each field's shape, q: (two_mu, unit_count), read by Discriminant.
+_SHAPES = {3: (1, 6), 4: (0, 4), 7: (1, 2), 8: (0, 2), 11: (1, 2), 19: (1, 2),
+           43: (1, 2), 67: (1, 2), 163: (1, 2)}
+CLASS_NUMBER_ONE_Q = tuple(_SHAPES)
 
 
 class IdentityError(ArithmeticError):
@@ -42,10 +45,9 @@ class Discriminant:
     def __post_init__(self) -> None:
         if self.q not in CLASS_NUMBER_ONE_Q:
             raise ValueError(f"q={self.q} is not a class-number-one discriminant")
-        if (self.two_mu == 0) != (self.q in (4, 8)):
-            raise ValueError(f"q={self.q}: two_mu={self.two_mu}, expected "
-                             f"{0 if self.q in (4, 8) else 1}")
-        units = 6 if self.q == 3 else 4 if self.q == 4 else 2
+        two_mu, units = _SHAPES[self.q]
+        if self.two_mu != two_mu:
+            raise ValueError(f"q={self.q}: two_mu={self.two_mu}, expected {two_mu}")
         if self.unit_count != units:
             raise ValueError(f"q={self.q}: unit_count={self.unit_count}, expected {units}")
 
@@ -77,9 +79,7 @@ _UNIT_COORDS = {6: ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)),
                 4: ((1, 0), (0, 1), (-1, 0), (0, -1)),
                 2: ((1, 0), (-1, 0))}
 
-_FIELDS = {q: Discriminant(q, 0 if q in (4, 8) else 1,
-                           6 if q == 3 else 4 if q == 4 else 2)
-           for q in CLASS_NUMBER_ONE_Q}
+_FIELDS = {q: Discriminant(q, *shape) for q, shape in _SHAPES.items()}
 
 
 def field(q: int) -> Discriminant:

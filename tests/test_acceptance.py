@@ -241,7 +241,7 @@ class TestCriterion06WeylFunctionLaws:
             assert len(sharp) == 20, f.q
             for radius in sharp:
                 for k in range(1, 13):
-                    if not equidist.sharp_factorization_check(f, radius, k):
+                    if not equidist.sharp_factorization_check(radius, k):
                         bad.append((f.q, radius.two_n, k))
         _report(6, "sharp-set factorization, 20 radii in each of the nine fields (part 4)",
                 not bad, f"failures: {bad[:3]}")

@@ -511,6 +511,10 @@ GOLDEN_STDOUT = [
      "217845766af7579400785a77a8d003c91827584b9721c291a92c28b112dac500"),
     (["verify", "--q", "all", "--max-two-n", "200"],
      "5e111740fedc813771a9242c70d58b8a86e6f0b84e7014ac8d1fb6ae58f1f491"),
+    # the sharp-set check on seven fields (at 200 q = 43, 67, 163 reach no
+    # sharp radius), recorded while it still divided n_plus, n_minus by l
+    (["verify", "--q", "all", "--max-two-n", "2000"],
+     "adce6f2e72385584fa8c27bcfa4434f81142128ab2bf961b5d8326a7f8945583"),
     # notes (centre and unrealized radii) before the discrepancy lines
     (["circle", "--q", "3", "--two-n", "3,5,7,13", "--k", "3"],
      "e9e00f3c167d46ecb439d71d3e3845be95063fcdf624159d501dde0075a879c5"),
@@ -550,7 +554,8 @@ GOLDEN_STDOUT = [
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
                          ids=["survey", "circle", "count", "bnumbers-z", "bnumbers-s",
                               "bnumbers-curve", "survey-q3-3000", "survey-q4-3000",
-                              "circle-4e6-k8", "verify-all-200", "circle-notes-k3",
+                              "circle-4e6-k8", "verify-all-200", "verify-all-2000",
+                              "circle-notes-k3",
                               "survey-json", "count-json", "bnumbers-curve-json",
                               "bnumbers-s-json", "bnumbers-z-json", "circle-notes-k3-json",
                               "count-q163-1e5", "plot-readme"]
@@ -625,11 +630,16 @@ def test_usage_error(capsys, tmp_path, argv, message):
     assert (code, out, err) == (2, "", message + "\n")
 
 
+def _readme_block(heading, lang):
+    """The first code block under a README heading."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    return text.split(f"## {heading}\n\n```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
     # every example line of the README's CLI block exits 0; its figure is the plot golden
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    block = readme.read_text(encoding="utf-8").split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
-    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    lines = [shlex.split(line, comments=True) for line in _readme_block("CLI", "sh").splitlines()]
     assert lines and all(argv[0] == "heegner-circles" for argv in lines)
     monkeypatch.chdir(tmp_path)
     for argv in lines:
@@ -637,3 +647,12 @@ def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
     digests = {tuple(argv): digest for argv, digest in GOLDEN_STDOUT}
     figure = hashlib.sha256((tmp_path / "figure.svg").read_bytes()).hexdigest()
     assert figure == digests[("plot", "--q", "11", "--two-n", "29,61")]
+
+
+def test_readme_library_sketch_runs():
+    # the sketch runs against the package's API and gives what its comments say
+    names = {}
+    exec(_readme_block("Library sketch", "python"), names)
+    assert names["radius"].factors == ([(3, 2)], [(2, 2), (5, 1)])
+    assert len(names["pts"]) == 6
+    assert names["res"].total == names["res"].direct_count

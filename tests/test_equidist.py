@@ -102,12 +102,12 @@ class TestEtBound:
     def test_all_vanishing_gives_floor(self):
         # q = 3, K = 2: v_1 = v_2 = 0
         f = field(3)
-        assert abs(et_bound(f, Radius(f, 5), K=2) - 1.0 / 3) < 1e-12
+        assert abs(et_bound(Radius(f, 5), K=2) - 1.0 / 3) < 1e-12
 
     def test_q3_example(self):
         # 1/4 + 3 * v_3(4)/3 = 1/4 + 1
         f = field(3)
-        assert abs(et_bound(f, Radius(f, 5), K=3) - 1.25) < 1e-12
+        assert abs(et_bound(Radius(f, 5), K=3) - 1.25) < 1e-12
 
     def test_default_cutoff(self):
         assert default_harmonic_cutoff(5) == 2
@@ -133,19 +133,12 @@ class TestEtBound:
         radius = radii_within(f, 200)[-1]
         rep = discrepancy_report(radius, K=6)
         assert calls == [radius.norm_product]
-        assert rep.et_bound == et_bound(f, radius, K=6)
+        assert rep.et_bound == et_bound(radius, K=6)
 
     @pytest.mark.parametrize("d,bound", [(0.5, 0.4), (-0.1, 1.0), (1.5, 2.0)])
     def test_report_outside_its_bound_raises(self, d, bound):
         with pytest.raises(IdentityError, match="outside"):
             equidist.DiscrepancyReport(5, 3, d, bound, 9)
-
-    def test_radius_of_another_field_rejected(self):
-        # the q = 3 sharp radius two_n = 21 used to give its q = 3 bound in q = 7
-        radius = Radius(field(3), 21)
-        assert et_bound(field(3), radius, K=4) > 0
-        with pytest.raises(ValueError, match="radius of q=3 read in q=7"):
-            et_bound(field(7), radius, K=4)
 
     def test_gamma_count_matches_pairs(self):
         from heegner_circles.circles import enumerate_pairs
@@ -169,7 +162,7 @@ class TestSharpFactorization:
         radius = next(r for r in radii_within(f, 200) if in_sharp_set(r))
         assert radius.two_n == 77
         for k in range(1, 11):
-            assert sharp_factorization_check(f, radius, k)
+            assert sharp_factorization_check(radius, k)
 
     def test_even_k_identity_odd_q(self):
         for q in (3, 7, 19):
@@ -206,7 +199,7 @@ class TestSharpFactorization:
                     rhs = v_k(f, radius.n_plus // 2, k) * v_k(f, radius.n_minus // 2, k)
                     assert abs(lhs[k - 1] - rhs) <= 1e-9, (q, radius.two_n, k)
                 for k in range(1, 13):
-                    assert sharp_factorization_check(f, radius, k), (q, radius.two_n, k)
+                    assert sharp_factorization_check(radius, k), (q, radius.two_n, k)
 
     @pytest.mark.parametrize("q", [4, 11])
     def test_perturbed_left_side_fails(self, monkeypatch, q):
@@ -216,7 +209,7 @@ class TestSharpFactorization:
         radius = next(r for r in radii_within(f, 200) if in_sharp_set(r))
         monkeypatch.setattr(equidist, "v_k", lambda fld, M, k: v_k(fld, M, k)
                             + (1e-6 if M == radius.norm_product else 0.0))
-        assert not any(sharp_factorization_check(f, radius, k) for k in range(1, 9))
+        assert not any(sharp_factorization_check(radius, k) for k in range(1, 9))
 
     def test_reads_c4_as_the_ramified_test(self):
         # c4 = 2, in_sharp_set and the spelled-out ramified test agree on
@@ -229,19 +222,31 @@ class TestSharpFactorization:
                 assert in_sharp_set(radius) == old, (q, two_n)
                 assert radius.c4 == (2 if old else 1), (q, two_n)
 
-    @pytest.mark.parametrize("q", [4, 7])
-    def test_radius_of_another_field_rejected(self, q):
-        radius = Radius(field(3), 21)
-        assert sharp_factorization_check(field(3), radius, 2)
-        with pytest.raises(ValueError, match=f"radius of q=3 read in q={q}"):
-            sharp_factorization_check(field(q), radius, 2)
+    @pytest.mark.parametrize("q", quadfield.CLASS_NUMBER_ONE_Q)
+    def test_even_k_reads_through_the_ramified_prime(self, q):
+        # v_k(l m) = v_k(m) for even k, so stripping l from n_plus and n_minus
+        # would change nothing: every norm m < 3000 (even m for q = 4)
+        f = field(q)
+        ell = f.ramified_prime
+        norms = [m for m in range(1, 3000)
+                 if quadfield.b_indicator(f, m) and (q != 4 or m % 2 == 0)]
+        assert len(norms) > 100
+        for m in norms:
+            for k in range(2, 13, 2):
+                assert abs(v_k(f, ell * m, k) - v_k(f, m, k)) <= 1e-12, (m, k)
+
+    def test_q4_odd_m_is_the_exception(self):
+        # the units +-i fold k = 2 (mod 4) to zero on the whole set of norm 2m
+        f = field(4)
+        assert abs(v_k(f, 5, 2) - 0.6) < 1e-12
+        assert v_k(f, 10, 2) < 1e-12
 
     def test_non_sharp_rejected(self):
         f = field(3)
         radius = Radius(f, 5)
         assert not in_sharp_set(radius)
         with pytest.raises(ValueError):
-            sharp_factorization_check(f, radius, 2)
+            sharp_factorization_check(radius, 2)
 
 
 class TestCircleProblemSum:

@@ -63,8 +63,10 @@ class TestField:
         for f in all_fields():
             assert f.ramified_generator().norm() == f.ramified_prime
 
-    @pytest.mark.parametrize("q,two_mu,units", [(4, 1, 4), (7, 0, 2), (3, 1, 2), (163, 1, 6)],
-                             ids=["q4-two-mu", "q7-two-mu", "q3-units", "q163-units"])
+    @pytest.mark.parametrize("q,two_mu,units", [(4, 1, 4), (7, 0, 2), (3, 1, 2), (163, 1, 6),
+                                                (7, 2, 2), (163, -1, 2)],
+                             ids=["q4-two-mu", "q7-two-mu", "q3-units", "q163-units",
+                                  "q7-two-mu-2", "q163-two-mu-minus-1"])
     def test_inconsistent_constants_raise(self, q, two_mu, units):
         with pytest.raises(ValueError, match=f"q={q}"):
             Discriminant(q, two_mu, units)

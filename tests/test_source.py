@@ -108,6 +108,31 @@ def test_equidist_has_one_rule_for_every_field():
     assert list(_q_parity_tests(ast.parse(both))) == ["f: 2", "g: 5"]
 
 
+def _annotated_names(fn):
+    """Every name in the annotations of a function's parameters, quoted ones too."""
+    args = fn.args
+    for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+        ann = arg and arg.annotation
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            ann = ast.parse(ann.value, mode="eval")
+        if ann is not None:
+            yield from _names(ann)
+
+
+def test_no_function_takes_a_field_and_a_radius():
+    # a Radius carries its field, so a second field argument could only
+    # disagree with it: functions of a radius read radius.field
+    found = sorted(f"{path.relative_to(SRC)}: {node.name}"
+                   for path in sorted(SRC.rglob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                   if isinstance(node, ast.FunctionDef)
+                   and {"Discriminant", "Radius"} <= set(_annotated_names(node)))
+    assert found == []
+    # the check itself sees such a signature, quoted or not
+    fn = ast.parse("def f(fld: 'Discriminant', *, r: circles.Radius): pass").body[0]
+    assert {"Discriminant", "Radius"} <= set(_annotated_names(fn))
+
+
 #: The package's public names, kept working across redesigns: a removal or
 #: rename shows up here rather than in a caller.
 PUBLIC_NAMES = """
