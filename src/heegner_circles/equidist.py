@@ -244,8 +244,8 @@ def in_sharp_set(radius: Radius) -> bool:
 
 
 def sharp_factorization_check(radius: Radius, k: int) -> bool:
-    """One rule for all nine fields: with M = n_plus n_minus, v_k(M) =
-    v_k(n_plus) v_k(n_minus) for even k, and v_k(M) vanishes for odd k.
+    """One rule for all nine fields and every k: with M = n_plus n_minus,
+    v_k(M) = v_k(n_plus) v_k(n_minus); for odd k both sides vanish.
 
     Proof.  The ramified prime l divides n_minus, n_plus = n_minus + q and
     M, so all their elements are restricted: sets closed under -1, so odd k
@@ -266,8 +266,6 @@ def sharp_factorization_check(radius: Radius, k: int) -> bool:
         raise ValueError("radius is not in the sharp set")
     fld = radius.field
     lhs = v_k(fld, radius.norm_product, k)
-    if k % 2:
-        return lhs <= 1e-12
     rhs = v_k(fld, radius.n_plus, k) * v_k(fld, radius.n_minus, k)
     return abs(lhs - rhs) <= _SHARP_TOL
 

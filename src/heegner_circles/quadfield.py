@@ -180,9 +180,9 @@ def chi_table(fld: Discriminant) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Factorization: a smallest-prime-factor (SPF) table below 2^21; above it,
-# Pollard rho splits n into parts until each part is below 2^21 (read off the
-# table) or passes the Miller-Rabin test, which is exact below psi_13.
+# Factorization: a smallest-prime-factor (SPF) table of odd n below 2^21 (uint16,
+# 0 for a prime, 2 MiB at 2^21); above it, Pollard rho splits n until each part
+# is below 2^21 (read off the table) or passes Miller-Rabin, exact below psi_13.
 # prime_table serves the block sieves of bnumbers; factorize never reads it.
 
 _PRIME_TABLE_LIMIT = 10 ** 7
@@ -208,7 +208,7 @@ def _eratosthenes(bound: int) -> np.ndarray:
     for p in range(2, isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p::p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
 
 
 def prime_table(bound: int) -> np.ndarray:
@@ -226,18 +226,18 @@ def prime_table(bound: int) -> np.ndarray:
 
 
 def _spf(n: int) -> np.ndarray:
-    """The SPF table through n < 2^21, sized to the next power of two above the largest n
-    asked for so far; a growth at least doubles it, so all builds cost under twice the last."""
+    """The odd SPF table through n < 2^21: entry i is the least prime factor of a composite
+    2i + 1, 0 for 1 or a prime; sized to the next power of two above the largest n so far.
+    A growth at least doubles the table, so all builds cost under twice the last."""
     global _spf_table
-    if _spf_table is None or len(_spf_table) <= n:
+    if _spf_table is None or 2 * len(_spf_table) <= n:
         size = min(_SPF_LIMIT, 1 << int(n).bit_length())
         _spf_table = None   # let the old table go before the new one is built
-        # every n starts as its own factor; each prime p <= sqrt(size) then
-        # claims its multiples from p^2 on, the largest prime first, so the
-        # smallest prime factor writes last
-        spf = np.arange(size + 1, dtype=np.int32)
-        for p in _eratosthenes(isqrt(size))[::-1].tolist():
-            spf[p * p::p] = p
+        # each odd prime p <= sqrt(size) < 2^11 claims its odd multiples from
+        # p^2 on, the largest first, so the smallest prime factor writes last
+        spf = np.zeros(size // 2, dtype=np.uint16)
+        for p in _eratosthenes(isqrt(size))[:0:-1].tolist():
+            spf[p * p // 2::p] = p
         _spf_table = spf
     return _spf_table
 
@@ -292,11 +292,13 @@ def _pollard_rho(n: int) -> int:
 
 
 def _spf_factors(n: int) -> list[tuple[int, int]]:
-    """factorize(n) for 1 <= n < 2^21, by the SPF table."""
+    """factorize(n) for 1 <= n < 2^21, by the odd SPF table."""
     spf = _spf(n)
-    out: list[tuple[int, int]] = []
+    twos = (n & -n).bit_length() - 1
+    n >>= twos
+    out = [(2, twos)] if twos else []
     while n > 1:
-        p = int(spf[n])
+        p = int(spf[n >> 1]) or n
         e = 0
         while n % p == 0:
             n //= p

@@ -264,7 +264,7 @@ class TestSurveyCounts:
         assert not path.exists()
 
     def test_survey_sizes_the_spf_table_to_its_norms(self):
-        # in a fresh process: n_plus <= 30002 needs a table of 2^15 entries, not 2^21
+        # in a fresh process: n_plus <= 30002 needs the odd n below 2^15, 2^14 entries
         src = os.path.dirname(os.path.dirname(heegner_circles.__file__))
         prog = ("import contextlib, io\n"
                 "from heegner_circles import cli, quadfield\n"
@@ -273,7 +273,7 @@ class TestSurveyCounts:
                 "print(code, len(quadfield._spf_table))\n")
         out = subprocess.run([sys.executable, "-c", prog], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, check=True).stdout.split()
-        assert out[0] == "0" and int(out[1]) <= (1 << 16) + 1
+        assert out[0] == "0" and int(out[1]) == 1 << 14
 
     def test_count_exact(self, capsys):
         code, out = run(capsys, "count", "--q", "3", "--x", "100")

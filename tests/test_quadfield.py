@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from math import gcd, isqrt
 
@@ -243,21 +244,53 @@ class TestFactorize:
         for b in bounds:
             assert quadfield.prime_table(b).tolist() == list(primerange(2, min(b, 10 ** 7) + 1))
 
+    def test_eratosthenes_holds_one_copy_of_the_primes(self):
+        # the bool sieve and one int64 list of the pi(10^6) = 78498 primes: a
+        # second copy of the list would take 10^6 + 16 pi bytes
+        tracemalloc.start()
+        try:
+            primes = quadfield._eratosthenes(10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert primes.dtype == np.int64 and len(primes) == 78498
+        assert peak <= 10 ** 6 + 12 * len(primes)
+
     def test_spf_table_holds_the_smallest_prime_factor(self, monkeypatch):
         monkeypatch.setattr(quadfield, "_spf_table", None)
         spf = quadfield._spf((1 << 21) - 1)   # the largest n it serves: the full table
-        assert spf.dtype == np.int32 and len(spf) == (1 << 21) + 1
-        assert spf[:2].tolist() == [0, 1]
-        for n in [*range(2, 5000), 1448 ** 2, 1447 ** 2, 1439 * 1447, (1 << 21) - 1, 1 << 21]:
-            assert spf[n] == min(factorint(n)), n
-        # every entry is a prime dividing n: n itself for a prime n, and at
-        # most sqrt(n) for a composite one
-        primes = np.zeros(len(spf), dtype=bool)
-        primes[list(primerange(2, len(spf)))] = True
-        n, p = np.arange(2, len(spf)), spf[2:].astype(np.int64)
-        assert np.all(primes[p]) and np.all(n % p == 0)
-        assert np.array_equal(p == n, primes[2:])
-        assert np.all(p[~primes[2:]] ** 2 <= n[~primes[2:]])
+        assert spf.dtype == np.uint16 and len(spf) == 1 << 20
+        n = np.arange(1, 1 << 21, 2)          # entry i stands for the odd n = 2i + 1
+        for m in [*range(1, 5000, 2), 1447 ** 2, 1439 * 1447, (1 << 21) - 1]:
+            assert spf[m >> 1] == (0 if m == 1 or isprime(m) else min(factorint(m))), m
+        # entrywise: the least of sympy's primes that divides a composite n, in
+        # ascending order, and 0 on 1 and on every odd prime
+        want = np.zeros(len(n), dtype=np.int64)
+        for p in primerange(3, isqrt(1 << 21) + 1):
+            want[(want == 0) & (n % p == 0) & (n != p)] = p
+        assert np.array_equal(spf, want)
+        primes = np.zeros(1 << 21, dtype=bool)
+        primes[list(primerange(3, 1 << 21))] = True
+        assert np.array_equal(spf == 0, primes[n] | (n == 1))
+
+    def test_full_spf_table_takes_two_mib(self, monkeypatch):
+        # the int32 table of every n <= 2^21 took 8 MiB
+        monkeypatch.setattr(quadfield, "_spf_table", None)
+        assert quadfield._spf((1 << 21) - 1).nbytes <= 1 << 21
+
+    @pytest.mark.parametrize("k", range(1, 22))
+    def test_factorize_at_the_top_of_each_spf_table(self, monkeypatch, k):
+        # a cold table of size s = 2^k: the largest odd square and the largest
+        # odd semiprime below s, whose least prime factors sit in its top entries
+        s = 1 << k
+        monkeypatch.setattr(quadfield, "_spf_table", None)
+        assert len(quadfield._spf(s - 1)) == s // 2
+        r = isqrt(s - 1)
+        square = (r if r % 2 else r - 1) ** 2
+        semiprime = next((m for m in range(s - 1, 8, -2) if sum(factorint(m).values()) == 2), 1)
+        for m in (square, semiprime):
+            assert factorize(m) == sorted(factorint(m).items()), m
+        assert len(quadfield._spf_table) == s // 2
 
     def test_factorize_at_each_spf_table_size(self, monkeypatch):
         # ascending n grows the table across every power of two up to its cap
@@ -271,9 +304,9 @@ class TestFactorize:
         sizes, largest = [], 0
         for n in (1, 3, 2, 7, 8, 100, 64, 1000, 5000, 4096, 70000, 1 << 20, (1 << 21) - 1, 9):
             largest = max(largest, n)
-            size = len(quadfield._spf(n)) - 1
-            # a power of two through the largest n so far, at most twice it
-            assert size & (size - 1) == 0 and largest <= size <= min(1 << 21, 2 * largest), n
+            size = 2 * len(quadfield._spf(n))   # the table serves every n < size
+            # a power of two above the largest n so far, at most twice it
+            assert size & (size - 1) == 0 and largest < size <= min(1 << 21, 2 * largest), n
             if not sizes or sizes[-1] != size:
                 sizes.append(size)
         # each build at least doubles the table, so all builds cost under twice the last
@@ -290,7 +323,7 @@ class TestFactorize:
             return sieve(bound)
 
         monkeypatch.setattr(quadfield, "_eratosthenes", watched)
-        assert len(quadfield._spf(5000)) == (1 << 13) + 1
+        assert len(quadfield._spf(5000)) == 1 << 12
         assert alive_at_build == [False] and old() is None
 
     def test_factorize_never_sieves_the_prime_table(self, monkeypatch):
