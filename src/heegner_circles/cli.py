@@ -2,8 +2,9 @@
 surveys, circle-problem counts, shifted-pair curves, and SVG figures.
 
 Every command is deterministic: identical flags produce byte-identical
-output.  Exit codes: 0 success, 1 a verified identity failed, 2 usage,
-141 (128 + SIGPIPE) stdout closed by its reader.
+output.  verify checks every field and prints one FAIL line per failing
+check, with its first witness.  Exit codes: 0 success, 1 a verified
+identity failed, 2 usage, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 from __future__ import annotations
 
@@ -101,114 +102,117 @@ def _random_matrices(rng: random.Random, count: int, bound: int) -> list[Unimodu
     return out
 
 
-def _verify_field(fld: Discriminant, max_two_n: int, report: list[str]) -> str | None:
-    """Run every identity check for one field; return a failure tag or None."""
+def _verify_field(fld: Discriminant, max_two_n: int, report: list[str],
+                  failures: dict[tuple[int, str], str]) -> None:
+    """Run every identity check of one field: report gets the ok line of each group whose checks
+    all held, failures each failing check's first witness by (q, name).  An IdentityError or
+    ValueError (a call refusing what a failed check left) ends its group."""
     rng = random.Random(20260808 + fld.q)
     q = fld.q
+    failed: list[str] = []   # the failing checks of the running group
 
+    def check(name: str, ok: bool, witness) -> None:
+        if not ok:   # the witness reads the loop's current values, so only now
+            failed.append(name)
+            failures.setdefault((q, name), f"{name} q={q} {witness()}")
+
+    @contextlib.contextmanager
+    def group(ok_line: str):
+        failed.clear()
+        try:
+            yield
+        except (quadfield.IdentityError, ValueError) as exc:
+            failed.append("identity")
+            failures.setdefault((q, "identity"), f"identity q={q}: {exc}")
+        if not failed:
+            report.append(f"q={q}: {ok_line}")
+
+    gamma = lambda: f"gamma={g.entries()}"
+    at = lambda: f"two_n={radius.two_n}"
     mats = _random_matrices(rng, 400, 60)
-    for g in mats:
-        two_n = halfplane.arithmetic_radius(fld, g)
-        ch = halfplane.cosh_distance(fld.z, halfplane.apply_mobius(g, fld.z))
-        if abs(ch - two_n / q) > 1e-6 * max(1.0, two_n / q):
-            return f"radius-vs-cosh q={q} gamma={g.entries()}"
-        h, Y = halfplane.integer_coords(fld, g)
-        if q * h * h + Y * Y != two_n * two_n - q * q:
-            return f"coordinate-norm-identity q={q} gamma={g.entries()}"
-        w = halfplane.disc_map(fld, halfplane.apply_mobius(g, fld.z))
-        n_plus = (two_n + q) // 2
-        if abs(n_plus * w - complex(h * math.sqrt(q) / 2, Y / 2)) > 1e-6 * n_plus:
-            return f"disc-map-image q={q} gamma={g.entries()}"
-        r, u, s, t = halfplane.split_coordinates(fld, g)
-        a1 = quadfield.AlgebraicInt(u, r, fld)
-        a2 = quadfield.AlgebraicInt(t, s, fld)
-        if a1.norm() != n_plus or a2.norm() != (two_n - q) // 2:
-            return f"split-norms q={q} gamma={g.entries()}"
-        if not halfplane.congruence_holds(fld, r, u, s, t):
-            return f"congruence-of-matrix q={q} gamma={g.entries()}"
-        if halfplane.coords_from_split(fld, r, u, s, t) != (h, Y):
-            return f"split-product-identity q={q} gamma={g.entries()}"
-        if halfplane.matrix_from_split(fld, r, u, s, t) != g:
-            return f"split-roundtrip q={q} gamma={g.entries()}"
-    report.append(f"q={q}: distance/coordinate/product identities + roundtrip on {len(mats)} matrices ok")
+    with group(f"distance/coordinate/product identities + roundtrip on {len(mats)} matrices ok"):
+        for g in mats:
+            two_n = halfplane.arithmetic_radius(fld, g)
+            ch = halfplane.cosh_distance(fld.z, halfplane.apply_mobius(g, fld.z))
+            check("radius-vs-cosh", abs(ch - two_n / q) <= 1e-6 * max(1.0, two_n / q), gamma)
+            h, Y = halfplane.integer_coords(fld, g)
+            check("coordinate-norm-identity", q * h * h + Y * Y == two_n * two_n - q * q, gamma)
+            w = halfplane.disc_map(fld, halfplane.apply_mobius(g, fld.z))
+            n_plus = (two_n + q) // 2
+            check("disc-map-image",
+                  abs(n_plus * w - complex(h * math.sqrt(q) / 2, Y / 2)) <= 1e-6 * n_plus, gamma)
+            r, u, s, t = halfplane.split_coordinates(fld, g)
+            check("split-norms", quadfield.AlgebraicInt(u, r, fld).norm() == n_plus
+                  and quadfield.AlgebraicInt(t, s, fld).norm() == (two_n - q) // 2, gamma)
+            check("congruence-of-matrix", halfplane.congruence_holds(fld, r, u, s, t), gamma)
+            check("split-product-identity",
+                  halfplane.coords_from_split(fld, r, u, s, t) == (h, Y), gamma)
+            check("split-roundtrip", halfplane.matrix_from_split(fld, r, u, s, t) == g, gamma)
 
-    for _ in range(2000):
-        v = tuple(rng.randint(-50, 50) for _ in range(4))
-        if halfplane.congruence_holds(fld, *v) != halfplane.congruence_holds_full(fld, *v):
-            return f"congruence-reduction q={q} v={v}"
-    report.append(f"q={q}: reduced congruence system matches 4x4 form ok")
+    with group("reduced congruence system matches 4x4 form ok"):
+        vs = (tuple(rng.randint(-50, 50) for _ in range(4)) for _ in range(2000))
+        wrong = [v for v in vs if halfplane.congruence_holds(fld, *v)
+                 != halfplane.congruence_holds_full(fld, *v)]
+        check("congruence-reduction", not wrong, lambda: f"v={wrong[0]}")
 
     if max_two_n < q:
         report.append(f"q={q}: no radii below two_n={max_two_n}; geometry checks only")
-        return None
+        return
     oracle = circles.brute_force_by_radius(fld, max_two_n)
-    radii = circles.radii_up_to(fld, max_two_n / 2)
+    radii = circles.radii_up_to(fld, max_two_n / 2)   # an IdentityError here ends the field
     seen_two_n = {r.two_n for r in radii}
-    for tn, ms in oracle.items():
-        if tn > q and tn not in seen_two_n and ms:
-            return f"radius-set q={q} two_n={tn} missing from radii_up_to"
-    for radius in radii:
-        if len(radius.pairs) != equidist.gamma_count(radius):
-            return f"pair-count-formula q={q} two_n={radius.two_n}"
-        mats2 = circles.pairs_to_matrices(radius, radius.pairs)
-        if mats2 != oracle.get(radius.two_n, []):
-            return f"oracle-equivalence q={q} two_n={radius.two_n}"
-        pts = circles.lattice_points(radius)
-        if [(p.h, p.Y) for p in pts] != sorted(circles._solve_circle(fld, radius.two_n)):
-            return f"point-set-equality q={q} two_n={radius.two_n}"
-        if len(pts) != quadfield.r_star(fld, radius.norm_product):
-            return f"point-count-vs-restricted q={q} two_n={radius.two_n}"
-    report.append(f"q={q}: pair/matrix/point correspondences on {len(radii)} radii up to two_n={max_two_n} ok")
+    with group(f"pair/matrix/point correspondences on {len(radii)} radii up to "
+               f"two_n={max_two_n} ok"):
+        missing = [tn for tn, ms in oracle.items() if tn > q and tn not in seen_two_n and ms]
+        check("radius-set", not missing, lambda: f"two_n={missing[0]} missing from radii_up_to")
+        for radius in radii:
+            check("pair-count-formula", len(radius.pairs) == equidist.gamma_count(radius), at)
+            check("oracle-equivalence", circles.pairs_to_matrices(radius, radius.pairs)
+                  == oracle.get(radius.two_n, []), at)
+            pts = circles.lattice_points(radius)
+            check("point-set-equality", [(p.h, p.Y) for p in pts]
+                  == sorted(circles._solve_circle(fld, radius.two_n)), at)
+            check("point-count-vs-restricted",
+                  len(pts) == quadfield.r_star(fld, radius.norm_product), at)
 
-    for M in range(1, min(max_two_n * 4, 4000)):
-        quadfield.r_star(fld, M)   # raises IdentityError off the closed form
-    report.append(f"q={q}: restricted count closed form ok")
+    with group("restricted count closed form ok"):
+        for M in range(1, min(max_two_n * 4, 4000)):
+            quadfield.r_star(fld, M)   # raises IdentityError off the closed form
 
-    norms = [M for M in range(1, 200) if quadfield.b_indicator(fld, M)]
-    for _ in range(60):
-        m1, m2 = rng.choice(norms), rng.choice(norms)
-        if math.gcd(m1, m2) != 1:
-            continue
-        profiles = [quadfield.weyl_profile(fld, M, 8) for M in (m1 * m2, m1, m2)]
-        for k, (lhs, v1, v2) in enumerate(zip(*profiles), start=1):
-            if abs(lhs - v1 * v2) > 1e-9:
-                return f"vk-multiplicativity q={q} M1={m1} M2={m2} k={k}"
-    p0 = fld.ramified_prime
-    profiles = [quadfield.weyl_profile(fld, p0 ** a, 8) for a in (1, 2, 3)]
-    for k, vals in enumerate(zip(*profiles), start=1):
-        if len({round(v, 12) for v in vals}) != 1:
-            return f"vk-ramified-stability q={q} k={k}"
-    report.append(f"q={q}: v_k multiplicativity + ramified stability ok")
+    with group("v_k multiplicativity + ramified stability ok"):
+        norms = [M for M in range(1, 200) if quadfield.b_indicator(fld, M)]
+        for _ in range(60):
+            m1, m2 = rng.choice(norms), rng.choice(norms)
+            if math.gcd(m1, m2) == 1:
+                misses = equidist._product_rule_misses(fld, m1, m2, 8)
+                check("vk-multiplicativity", not misses, lambda: f"M1={m1} M2={m2} k={misses[0]}")
+        profiles = [quadfield.weyl_profile(fld, fld.ramified_prime ** a, 8) for a in (1, 2, 3)]
+        for k, vals in enumerate(zip(*profiles), start=1):
+            check("vk-ramified-stability", len({round(v, 12) for v in vals}) == 1, lambda: f"k={k}")
 
-    for radius in radii[:min(len(radii), 40)]:
-        equidist.discrepancy_report(radius)   # raises IdentityError above the bound
-        dm = equidist.matrix_angle_discrepancy(radius)
-        if abs(dm - equidist.circle_discrepancy(circles.angles(radius))) > 1e-9:
-            return f"matrix-vs-point-discrepancy q={q} two_n={radius.two_n}"
-    sharp = [r for r in radii if equidist.in_sharp_set(r)][:5]
-    for radius in sharp:
-        for k in range(1, 7):
-            if not equidist.sharp_factorization_check(radius, k):
-                return f"sharp-factorization q={q} two_n={radius.two_n} k={k}"
-    report.append(f"q={q}: discrepancy bounds + sharp factorization ok")
-    return None
+    with group("discrepancy bounds + sharp factorization ok"):
+        for radius in radii[:min(len(radii), 40)]:
+            equidist.discrepancy_report(radius)   # raises IdentityError above the bound
+            check("matrix-vs-point-discrepancy", abs(equidist.matrix_angle_discrepancy(radius)
+                  - equidist.circle_discrepancy(circles.angles(radius))) <= 1e-9, at)
+        for radius in [r for r in radii if equidist.in_sharp_set(r)][:5]:
+            misses = equidist._product_rule_misses(fld, radius.n_plus, radius.n_minus, 6)
+            check("sharp-factorization", not misses, lambda: f"{at()} k={misses[0]}")
 
 
 def cmd_verify(args) -> int:
     if args.max_two_n > 10 ** 4:
         raise ValueError("--max-two-n capped at 10^4")
     report: list[str] = []
-    fail = None
+    failures: dict[tuple[int, str], str] = {}
     for fld in _selected_fields(args.q):
         try:
-            fail = _verify_field(fld, args.max_two_n, report)
+            _verify_field(fld, args.max_two_n, report, failures)
         except quadfield.IdentityError as exc:
-            fail = f"identity q={fld.q}: {exc}"
-        if fail is not None:
-            break
-    report.append("all identities verified" if fail is None else f"FAIL {fail}")
+            failures.setdefault((fld.q, "identity"), f"identity q={fld.q}: {exc}")
+    report += [f"FAIL {line}" for line in failures.values()] or ["all identities verified"]
     _emit("\n".join(report) + "\n", args.out)
-    return 0 if fail is None else 1
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------

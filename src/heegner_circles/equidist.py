@@ -17,7 +17,7 @@ from .halfplane import apply_mobius, disc_map
 # factorize is not called here; bench/test_bench.py checks that the tracer
 # rewraps it in this namespace too
 from .quadfield import (Discriminant, IdentityError, chi, factorize,
-                        r_count_from_factors, restricted_angles, v_k,
+                        r_count_from_factors, restricted_angles, weyl_profile,
                         _weyl_sums)
 
 #: Exponent from the equidistribution rate: log(pi/2)/log 2.
@@ -264,10 +264,13 @@ def sharp_factorization_check(radius: Radius, k: int) -> bool:
     """
     if not in_sharp_set(radius):
         raise ValueError("radius is not in the sharp set")
-    fld = radius.field
-    lhs = v_k(fld, radius.norm_product, k)
-    rhs = v_k(fld, radius.n_plus, k) * v_k(fld, radius.n_minus, k)
-    return abs(lhs - rhs) <= _SHARP_TOL
+    return not _product_rule_misses(radius.field, radius.n_plus, radius.n_minus, abs(k))
+
+
+def _product_rule_misses(fld: Discriminant, m1: int, m2: int, K: int) -> list[int]:
+    """The k <= K where |v_k(m1 m2) - v_k(m1) v_k(m2)| <= _SHARP_TOL fails, NaN too."""
+    lhs, v1, v2 = (weyl_profile(fld, M, K) for M in (m1 * m2, m1, m2))
+    return [k + 1 for k in range(K) if not abs(lhs[k] - v1[k] * v2[k]) <= _SHARP_TOL]
 
 
 # ---------------------------------------------------------------------------

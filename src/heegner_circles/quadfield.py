@@ -292,10 +292,10 @@ def _pollard_rho(n: int) -> int:
 
 
 def _spf_factors(n: int) -> list[tuple[int, int]]:
-    """factorize(n) for 1 <= n < 2^21, by the odd SPF table."""
-    spf = _spf(n)
+    """factorize(n) for 1 <= n < 2^21, by the odd SPF table sized to n's odd part."""
     twos = (n & -n).bit_length() - 1
     n >>= twos
+    spf = _spf(n)
     out = [(2, twos)] if twos else []
     while n > 1:
         p = int(spf[n >> 1]) or n

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import heegner_circles
-from heegner_circles import bnumbers, circles, cli, equidist, quadfield
+from heegner_circles import bnumbers, circles, cli, equidist, halfplane, quadfield
 from heegner_circles.cli import build_parser, main
 
 SCHEMAS = json.loads(
@@ -90,6 +90,48 @@ class TestVerify:
         assert code == 1
         assert out.endswith("\nFAIL identity q=3: chi calls 2 split for q=3, "
                             "but no element has norm 2\n")
+
+    def test_chi_fault_output_is_pinned(self, capsys, monkeypatch):
+        # every group from the radii on raises the same identity failure: one
+        # FAIL line, and none of those groups reports ok
+        _call_two_split_for_q3(monkeypatch)
+        code, out = run(capsys, "verify", "--q", "3", "--max-two-n", "40")
+        assert code == 1
+        assert out == ("q=3: distance/coordinate/product identities + roundtrip on 400 matrices ok\n"
+                       "q=3: reduced congruence system matches 4x4 form ok\n"
+                       "FAIL identity q=3: chi calls 2 split for q=3, but no element has norm 2\n")
+
+    def test_two_faults_in_two_fields_are_both_reported(self, capsys, monkeypatch):
+        # every field is checked past a fault: only the two failing groups
+        # lose their ok lines, and each failing check prints its first witness
+        code, clean = run(capsys, "verify", "--q", "all", "--max-two-n", "60")
+        assert code == 0
+        gamma_count, weyl_profile = equidist.gamma_count, quadfield.weyl_profile
+        monkeypatch.setattr(equidist, "gamma_count", lambda r: gamma_count(r) + (r.field.q == 7))
+        monkeypatch.setattr(quadfield, "weyl_profile", lambda fld, M, K: [
+            v + 1e-6 * ((fld.q, M) == (11, 121)) for v in weyl_profile(fld, M, K)])
+        code, out = run(capsys, "verify", "--q", "all", "--max-two-n", "60")
+        assert code == 1
+        failed_groups = ("q=7: pair/matrix/point correspondences", "q=11: v_k multiplicativity")
+        kept = [line for line in clean.splitlines()[:-1] if not line.startswith(failed_groups)]
+        assert len(kept) == len(clean.splitlines()) - 3
+        assert out.splitlines() == kept + ["FAIL pair-count-formula q=7 two_n=9",
+                                           "FAIL vk-ramified-stability q=11 k=1"]
+
+    def test_a_call_refusing_a_failed_check_is_a_fail_line(self, capsys, monkeypatch):
+        # the checks after a failing one still run: off the congruence,
+        # matrix_from_split raises ValueError, an identity failure (exit 1), not
+        # a usage error (exit 2), and the fields after q = 7 are still checked
+        split = halfplane.split_coordinates
+        monkeypatch.setattr(halfplane, "split_coordinates", lambda fld, g: tuple(
+            x + (fld.q == 7 and i == 1) for i, x in enumerate(split(fld, g))))
+        code, out = run(capsys, "verify", "--q", "all", "--max-two-n", "40")
+        assert code == 1
+        assert [line.split(" gamma=")[0] for line in out.splitlines()[-4:-1]] == [
+            "FAIL split-norms q=7", "FAIL congruence-of-matrix q=7", "FAIL split-product-identity q=7"]
+        assert out.splitlines()[-1].startswith("FAIL identity q=7: (r,u,s,t)=")
+        assert "does not satisfy the congruence system for q=7" in out
+        assert "q=163: reduced congruence system matches 4x4 form ok" in out
 
     def test_same_bytes_under_python_O(self):
         # every check raises IdentityError, so -O (asserts stripped) changes nothing;

@@ -207,9 +207,25 @@ class TestSharpFactorization:
         # 1e-6 fails it for every k, odd and even
         f = field(q)
         radius = next(r for r in radii_within(f, 200) if in_sharp_set(r))
-        monkeypatch.setattr(equidist, "v_k", lambda fld, M, k: v_k(fld, M, k)
-                            + (1e-6 if M == radius.norm_product else 0.0))
+        monkeypatch.setattr(equidist, "weyl_profile", lambda fld, M, K: [
+            v + (1e-6 if M == radius.norm_product else 0.0) for v in weyl_profile(fld, M, K)])
         assert not any(sharp_factorization_check(radius, k) for k in range(1, 9))
+
+    @pytest.mark.parametrize("q", quadfield.CLASS_NUMBER_ONE_Q)
+    def test_same_verdict_as_three_v_k_calls(self, q):
+        # one weyl_profile per norm decides as v_k(n_plus n_minus), v_k(n_plus)
+        # and v_k(n_minus) did, k by k: every sharp radius with two_n <= 2000,
+        # and at least the first five (q = 67 and 163 have none that low)
+        f = field(q)
+        sharp = (r for r in iter_radii(f, 10 ** 5) if in_sharp_set(r))
+        sharp = [r for _, r in itertools.takewhile(lambda ir: ir[0] < 5 or ir[1].two_n <= 2000,
+                                                   enumerate(sharp))]
+        assert len(sharp) >= 5
+        for radius in sharp:
+            for k in range(-8, 9):
+                old = abs(v_k(f, radius.norm_product, k)
+                          - v_k(f, radius.n_plus, k) * v_k(f, radius.n_minus, k)) <= 1e-9
+                assert sharp_factorization_check(radius, k) == old, (radius.two_n, k)
 
     def test_reads_c4_as_the_ramified_test(self):
         # c4 = 2, in_sharp_set and the spelled-out ramified test agree on

@@ -326,6 +326,14 @@ class TestFactorize:
         assert len(quadfield._spf(5000)) == 1 << 12
         assert alive_at_build == [False] and old() is None
 
+    @pytest.mark.parametrize("n, entries", [(1 << 20, 1), (3 << 19, 2), ((1 << 21) - 2, 1 << 19)])
+    def test_cold_spf_table_is_sized_by_the_odd_part(self, monkeypatch, n, entries):
+        # the power of 2 is stripped before the table is read, so it sizes nothing:
+        # factorize(2^20) reads no entry and used to build all 2^20 of them
+        monkeypatch.setattr(quadfield, "_spf_table", None)
+        assert factorize(n) == sorted(factorint(n).items())
+        assert len(quadfield._spf_table) == entries
+
     def test_factorize_never_sieves_the_prime_table(self, monkeypatch):
         monkeypatch.setattr(quadfield, "_prime_table", None)
         monkeypatch.setattr(quadfield, "_prime_table_bound", 0)

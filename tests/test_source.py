@@ -160,3 +160,24 @@ def test_only_the_reach_check_reads_the_prime_table():
     # short: every sieve form takes its primes from the one function that checks
     assert _functions_naming("prime_table") == ["heegner_circles/bnumbers.py: _sieving_primes",
                                                 "heegner_circles/quadfield.py: prime_table"]
+
+
+#: verify's identity checks, each stated once in cli._verify_field.
+VERIFY_CHECKS = """
+    radius-vs-cosh coordinate-norm-identity disc-map-image split-norms
+    congruence-of-matrix split-product-identity split-roundtrip
+    congruence-reduction radius-set pair-count-formula oracle-equivalence
+    point-set-equality point-count-vs-restricted vk-multiplicativity
+    vk-ramified-stability matrix-vs-point-discrepancy sharp-factorization
+""".split()
+
+
+def test_verify_states_each_check_once():
+    # a refactor that drops or doubles a check shows up here, not as a silent pass
+    path = SRC / "heegner_circles" / "cli.py"
+    named = [node.args[0].value
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "check" and node.args and isinstance(node.args[0], ast.Constant)]
+    assert len(VERIFY_CHECKS) == 17
+    assert sorted(named) == sorted(VERIFY_CHECKS)
