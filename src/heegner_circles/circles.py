@@ -10,8 +10,9 @@ Three descriptions of the same finite set:
     Y = two_n (mod q) (the point set, read off the pairs with each point
     hit unit_count/2 times; the _solve_circle oracle solves it directly).
 
-verify and the tests compare the oracles against the pair path; the
-library's own calls never run them.
+verify and the tests compare the oracles against the pair path, and so
+does equidist.circle_problem_sum: at x <= 10^3 its direct_cosh_count
+walks brute_force_by_radius.
 """
 from __future__ import annotations
 

@@ -31,8 +31,8 @@ def circle_discrepancy(angles: list[float]) -> float:
     are reduced mod 2pi and sorted here, once.  Exact O(N) form on the
     sorted normalized points x_0 <= ... <= x_{N-1}:
     max(i/N - x_i) - min(i/N - x_i) + 1/N (Kuipers & Niederreiter,
-    Uniform Distribution of Sequences, 1974, ch. 2).  _discrepancy_pairs,
-    the O(N^2) scan over arc endpoints, is its reference in the tests.
+    Uniform Distribution of Sequences, 1974, ch. 2).  Its O(N^2) reference,
+    the scan over arc endpoints, is _discrepancy_pairs in tests/oracles.py.
     """
     n = len(angles)
     if n == 0:
@@ -45,44 +45,6 @@ def circle_discrepancy(angles: list[float]) -> float:
 def _normalized(angles_seq: list[float]) -> list[float]:
     # a just below 0 has a % 2pi == 2pi; the final % 1.0 maps its phase to 0.0
     return sorted(a % (2 * math.pi) / (2 * math.pi) % 1.0 for a in angles_seq)
-
-
-def _discrepancy_pairs(angles_seq: list[float]) -> float:
-    """The sup over arcs with endpoints at data angles, taken closed
-    (point-heavy side) or open (length-heavy side); O(N^2), test oracle."""
-    ph_all = _normalized(angles_seq)
-    n = len(ph_all)
-    # compress ties (repeated angles from the unit action) into multiplicities
-    ph: list[float] = []
-    cnt: list[int] = []
-    for a in ph_all:
-        if ph and a == ph[-1]:
-            cnt[-1] += 1
-        else:
-            ph.append(a)
-            cnt.append(1)
-    m = len(ph)
-    cum = [0]
-    for c in cnt:
-        cum.append(cum[-1] + c)
-    best = 0.0
-    for i in range(m):
-        for j in range(m):
-            if i <= j:
-                closed = cum[j + 1] - cum[i]
-                inner = max(0, cum[j] - cum[i + 1])
-            else:
-                closed = n - (cum[i] - cum[j + 1])
-                inner = n - cum[i + 1] + cum[j]
-            ln = (ph[j] - ph[i]) % 1.0 if i != j else 0.0
-            # closed arc [ph_i, ph_j] versus its length
-            best = max(best, closed / n - ln)
-            # open arc (ph_i, ph_j): i == j degenerates to the punctured circle
-            if i == j:
-                best = max(best, 1.0 - (n - cnt[i]) / n)
-            else:
-                best = max(best, ln - inner / n)
-    return best
 
 
 def default_harmonic_cutoff(two_n: int) -> int:

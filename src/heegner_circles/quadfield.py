@@ -371,7 +371,7 @@ def enumerate_norm(fld: Discriminant, M: int) -> list[AlgebraicInt]:
 
     Deterministic order: r ascending, then u ascending.  This is the
     slow, assumption-free path, kept as the test suite's oracle for
-    elements_of_norm(), the multiplicative path the library uses.
+    _unit_blocks, the multiplicative path the library uses.
     """
     if M < 1:
         raise ValueError("enumerate_norm expects M >= 1")
@@ -497,11 +497,6 @@ def _restricted_coords(fld: Discriminant, M: int,
         return []
     m2, q, tm = 2 * residue_m(fld, M), fld.q, fld.two_mu
     return [el for b in blocks if (2 * b[0][0] + tm * b[0][1] - m2) % q == 0 for el in b]
-
-
-def restricted_elements(fld: Discriminant, M: int) -> list[AlgebraicInt]:
-    """Elements of norm M satisfying 2*Re = 2m (mod q)."""
-    return [AlgebraicInt(u, r, fld) for u, r in _restricted_coords(fld, M, None)]
 
 
 def restricted_angles(fld: Discriminant, M: int,

@@ -6,12 +6,14 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import radii_within
+from oracles import _discrepancy_pairs, restricted_elements
 from heegner_circles import bnumbers, equidist, quadfield
 from heegner_circles.circles import (Radius, angles, brute_force_by_radius, iter_radii,
                                      lattice_points, radii_up_to, stabilizer_size)
@@ -20,11 +22,9 @@ from heegner_circles.equidist import (RATE_EXPONENT, circle_discrepancy,
                                       direct_cosh_count, discrepancy_report,
                                       et_bound, gamma_count, in_sharp_set,
                                       matrix_angle_discrepancy,
-                                      sharp_factorization_check, survey,
-                                      _discrepancy_pairs)
+                                      sharp_factorization_check, survey)
 from heegner_circles.quadfield import (IdentityError, all_fields, factorize,
-                                       field, r_count_from_factors,
-                                       restricted_elements, v_k, weyl_profile)
+                                       field, r_count_from_factors, v_k, weyl_profile)
 
 
 class TestDiscrepancy:
@@ -466,6 +466,37 @@ class TestSurvey:
         finally:
             tracemalloc.stop()
         assert i > 1000 and growth / (i - 100) < 100
+
+    def test_float_verdicts_hold_at_40_digits(self):
+        # survey counts D <= |Gamma|^-(C - eps) by binary64 comparisons; with
+        # D and the threshold recomputed at 40 digits, every verdict is the
+        # exact one and none lies within 1e-12 of its threshold (the least
+        # margin, 3.8e-8, is at q = 11, two_n = 6397, eps = 0.1)
+        radii = 0
+        with mpmath.workdps(40):
+            C = mpmath.log(mpmath.pi / 2) / mpmath.log(2)
+            for f in all_fields():
+                stream = equidist.SurveyStream(f, 5000)
+                sq, fast = mpmath.sqrt(f.q), {0.1: 0, 0.2: 0}
+                for row in stream:
+                    els = restricted_elements(f, Radius(f, row.two_n).norm_product)
+                    ph = sorted(mpmath.atan2(a.r * sq, 2 * a.u + f.two_mu * a.r)
+                                / (2 * mpmath.pi) % 1 for a in els)
+                    us = [mpmath.mpf(i) / len(ph) - x for i, x in enumerate(ph)]
+                    d = max(us) - min(us) + mpmath.mpf(1) / len(ph)
+                    for eps in fast:
+                        bound = mpmath.mpf(row.gamma_count) ** -(C - mpmath.mpf(str(eps)))
+                        bound_float = row.gamma_count ** (-(RATE_EXPONENT - eps))
+                        at = (f.q, row.two_n, eps)
+                        assert (row.discrepancy <= bound_float) == (d <= bound), at
+                        assert (abs(d - bound) >= 1e-12
+                                or d == bound and row.discrepancy == bound_float), at
+                        fast[eps] += d <= bound
+                s = stream.summary
+                radii += s.count
+                assert (s.frac_fast_eps01, s.frac_fast_eps02) == (fast[0.1] / s.count,
+                                                                  fast[0.2] / s.count), f.q
+        assert radii == 3418
 
     def test_rate_exponent_value(self):
         assert abs(RATE_EXPONENT - math.log(math.pi / 2) / math.log(2)) < 1e-15

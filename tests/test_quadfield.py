@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from sympy import factorint, isprime, nextprime, primerange
 from sympy.functions.combinatorial.numbers import kronecker_symbol
 
+from oracles import restricted_elements
 from heegner_circles import quadfield
 from heegner_circles.circles import enumerate_pairs, radii_up_to
 from heegner_circles.halfplane import congruence_holds
@@ -24,8 +25,7 @@ from heegner_circles.quadfield import (CLASS_NUMBER_ONE_Q, AlgebraicInt,
                                        enumerate_norm, factorize, field,
                                        is_probable_prime, kronecker, omega_pair,
                                        r_count, r_star, residue_m,
-                                       restricted_angles, restricted_elements,
-                                       v_k, weyl_profile)
+                                       restricted_angles, v_k, weyl_profile)
 
 QS = CLASS_NUMBER_ONE_Q
 

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 import ast
 import pathlib
+import re
 
 import heegner_circles
 
@@ -181,3 +182,55 @@ def test_verify_states_each_check_once():
              and node.func.id == "check" and node.args and isinstance(node.args[0], ast.Constant)]
     assert len(VERIFY_CHECKS) == 17
     assert sorted(named) == sorted(VERIFY_CHECKS)
+
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+#: A call into the library as the benchmark writes it: <module>.<name>(
+_BENCH_CALL = re.compile(r"\b(quadfield|halfplane|circles|equidist|bnumbers)\.(\w+)\s*\(")
+
+
+def _mentions(tree):
+    """Every name a node reads, as an ast.Name or as an ast.Attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _unreached(trees, roots):
+    """The top-level functions and classes of the modules that no root reaches.
+
+    A reached def reaches every top-level def it mentions anywhere in its
+    body, decorators, defaults and bases; the modules' other top-level
+    statements run on import, so what they mention is reached too.
+    """
+    defs, todo = {}, list(roots)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            else:
+                todo.extend(_mentions(node))
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in seen:
+            seen.add(name)
+            todo.extend(ref for node in defs[name] for ref in _mentions(node))
+    return sorted(set(defs) - seen)
+
+
+def test_src_holds_only_what_is_reached():
+    # an oracle that only the tests call lives in tests/oracles.py: src/ keeps
+    # what cli.main, a public name or the benchmark reaches
+    bench_calls = {m.group(2) for path in sorted(BENCH.glob("*.py"))
+                   for m in _BENCH_CALL.finditer(path.read_text(encoding="utf-8"))}
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted((SRC / "heegner_circles").glob("*.py"))]
+    assert _unreached(trees, ["main", *PUBLIC_NAMES, *bench_calls]) == []
+    # the check itself sees a def that nothing reaches, and what only it reaches
+    toy = ast.parse("def main():\n    f()\ndef f():\n    pass\n"
+                    "def g():\n    h()\ndef h():\n    pass\n")
+    assert _unreached([toy], ["main"]) == ["g", "h"]
