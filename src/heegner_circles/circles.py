@@ -4,8 +4,8 @@ Three descriptions of the same finite set:
 
   * pairs of algebraic integers of norms (two_n +- q)/2 subject to the
     congruence system (the library path; bijective with the matrices);
-  * matrices gamma with arithmetic radius two_n (brute-force oracle over
-    bottom rows, quadratic solve for the top row);
+  * matrices gamma with arithmetic radius two_n (the brute-force oracle: one
+    walk over bottom rows and the interval of top rows the radius bounds);
   * integer points (h, Y) on q h^2 + Y^2 = two_n^2 - q^2 with
     Y = two_n (mod q) (the point set, read off the pairs with each point
     hit unit_count/2 times; the _solve_circle oracle solves it directly).
@@ -77,6 +77,7 @@ class Radius:
         """pairs grouped by their point (h, Y), pair order kept; computed once
         and checked as lattice_points documents."""
         fld = self.field
+        pairs_to_matrices(self, self.pairs)   # the whole circle's matrix checks
         groups: dict[tuple[int, int], list[SplitPair]] = {}
         for p in self.pairs:
             groups.setdefault(coords_from_split(fld, *p.rust), []).append(p)
@@ -206,9 +207,10 @@ def lattice_points(radius: Radius) -> list[CirclePoint]:
     """The circle's integer points, read off the congruence-filtered pairs.
 
     Each pair maps to (h, Y) through the product identity
-    y + ix = (u + r z)(t + s z-bar).  Every point must be hit exactly
-    unit_count/2 times, and the point count must equal
-    (c4/2) * r_count(n_plus * n_minus); either failure raises IdentityError.
+    y + ix = (u + r z)(t + s z-bar).  The pairs must map through
+    pairs_to_matrices onto distinct matrices of the radius, every point must
+    be hit exactly unit_count/2 times, and the point count must equal
+    (c4/2) * r_count(n_plus * n_minus); each failure raises IdentityError.
     """
     return [CirclePoint(h, Y, radius.field, radius.two_n)
             for (h, Y) in sorted(radius.pairs_by_point)]
@@ -266,49 +268,12 @@ def _row_quadratic(fld: Discriminant, a0: int, b0: int, c: int, d: int) -> tuple
     return A, B, f0
 
 
-def brute_force_matrices(radius: Radius) -> list[UnimodularMatrix]:
-    """Independent enumeration of the matrices of radius two_n.
-
-    Walks coprime bottom rows within the norm bound and solves the radius
-    quadratic in the top-row parameter.  two_n = q returns the stabilizer
-    of the Heegner point.
-    """
-    fld = radius.field
-    if radius.two_n > 10 ** 6:
-        raise ValueError("brute-force oracle capped at two_n <= 10^6")
-    target = 8 * radius.two_n
-    out = set()
-    for a0, b0, c, d in _row_families(fld, radius.two_n):
-        A, B, C = _row_quadratic(fld, a0, b0, c, d)
-        disc = B * B - 4 * A * (C - target)
-        if disc < 0:
-            continue
-        w = isqrt(disc)
-        if w * w != disc:
-            continue
-        for tw in ((w,) if w == 0 else (w, -w)):
-            num = -B + tw
-            if num % (2 * A) == 0:
-                t = num // (2 * A)
-                g = UnimodularMatrix(a0 + t * c, b0 + t * d, c, d)
-                if arithmetic_radius(fld, g) != radius.two_n:
-                    raise IdentityError(f"q={fld.q} two_n={radius.two_n}: the row walk "
-                                        f"solved {g.entries()} of another radius")
-                out.add(g)
-    return sorted(out)
-
-
-def brute_force_by_radius(fld: Discriminant, max_two_n: int) -> dict[int, list[UnimodularMatrix]]:
-    """All matrices with radius <= max_two_n, bucketed by two_n.
-
-    Shares the row walk across radii, so a full sweep costs no more than a
-    single large-radius call.
-    """
-    buckets: dict[int, set[UnimodularMatrix]] = {}
+def _row_walk(fld: Discriminant, max_two_n: int) -> Iterator[tuple[int, UnimodularMatrix]]:
+    """Yield (two_n, gamma) for every matrix of radius <= max_two_n: on each coprime bottom
+    row 16R is a quadratic in the top-row parameter t, <= 8 max_two_n on an interval of t."""
     target = 8 * max_two_n
     for a0, b0, c, d in _row_families(fld, max_two_n):
         A, B, C = _row_quadratic(fld, a0, b0, c, d)
-        # A t^2 + B t + C <= target on an integer interval
         disc = B * B - 4 * A * (C - target)
         if disc < 0:
             continue
@@ -321,8 +286,30 @@ def brute_force_by_radius(fld: Discriminant, max_two_n: int) -> dict[int, list[U
                 if v % 8:
                     raise IdentityError(f"q={fld.q}: 16R = {v} at row {(c, d)}, t={t} "
                                         "is not divisible by 8")
-                g = UnimodularMatrix(a0 + t * c, b0 + t * d, c, d)
-                buckets.setdefault(v // 8, set()).add(g)
+                yield v // 8, UnimodularMatrix(a0 + t * c, b0 + t * d, c, d)
+
+
+def brute_force_matrices(radius: Radius) -> list[UnimodularMatrix]:
+    """The matrices of radius two_n (at two_n = q, the Heegner point's stabilizer): the row
+    walk up to two_n, kept to two_n as it runs, each radius checked by arithmetic_radius."""
+    fld = radius.field
+    if radius.two_n > 10 ** 6:
+        raise ValueError("brute-force oracle capped at two_n <= 10^6")
+    out = set()
+    for two_n, g in _row_walk(fld, radius.two_n):
+        if two_n == radius.two_n:
+            if arithmetic_radius(fld, g) != two_n:
+                raise IdentityError(f"q={fld.q} two_n={two_n}: the row walk "
+                                    f"gave {g.entries()} of another radius")
+            out.add(g)
+    return sorted(out)
+
+
+def brute_force_by_radius(fld: Discriminant, max_two_n: int) -> dict[int, list[UnimodularMatrix]]:
+    """All matrices with radius <= max_two_n: one row walk, bucketed by two_n."""
+    buckets: dict[int, set[UnimodularMatrix]] = {}
+    for two_n, g in _row_walk(fld, max_two_n):
+        buckets.setdefault(two_n, set()).add(g)
     return {tn: sorted(ms) for tn, ms in sorted(buckets.items())}
 
 

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import statistics
+from collections import Counter
 from math import gcd
 
 import numpy as np
@@ -60,8 +61,20 @@ class TestCriterion01Figure:
 class TestCriterion02OracleEquivalence:
     def test_pairs_match_brute_force_to_400(self):
         bad = []
+        covered = 0
         for f in all_fields():
             sweep = circles.brute_force_by_radius(f, 400)
+            # the reference the walk shares no code with: over each point of
+            # the direct circle solve lie exactly |Stab| = unit_count/2 of its
+            # matrices, at every radius, the centre and empty circles included
+            every_two_n = range(f.q, 401, 2)
+            if not set(sweep) <= set(every_two_n):
+                bad.append((f.q, "sweep radius off the lattice"))
+            for two_n in every_two_n:
+                covered += 1
+                hits = Counter(halfplane.integer_coords(f, g) for g in sweep.get(two_n, []))
+                if hits != Counter(circles._solve_circle(f, two_n) * (f.unit_count // 2)):
+                    bad.append((f.q, two_n, "points"))
             realized = {tn for tn, ms in sweep.items() if tn > f.q and ms}
             listed = {r.two_n for r in _radii(f, 400)}
             if realized != listed:
@@ -80,8 +93,9 @@ class TestCriterion02OracleEquivalence:
                 if idx % 7 == 0 and \
                         circles.brute_force_matrices(radius) != sweep[radius.two_n]:
                     bad.append((f.q, radius.two_n, "sweep-vs-single"))
-        _report(2, "oracle equivalence two_n <= 400", not bad, f"failures: {bad[:3]}")
-        assert not bad
+        _report(2, "oracle equivalence two_n <= 400", not bad,
+                f"{covered} radii against the point solve; failures: {bad[:3]}")
+        assert not bad and covered == 1643
 
 
 class TestCriterion03PointSets:

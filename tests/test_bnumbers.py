@@ -490,6 +490,11 @@ class TestLinearForm:
                 assert [p for p, _ in got] == [p for p in self.PRIMES
                                                if p <= top and term % p == 0]
 
+    def test_common_factor_raises(self):
+        # gcd(a, b) > 1 leaves primes that divide every term off the sieve
+        with pytest.raises(IdentityError, match=re.escape("linear form 6*j + 4 has a common factor")):
+            bnumbers._LinearForm(6, 4, self.PRIMES, 1000)
+
     def test_forms_for_a_large_shift_hold_no_object_per_prime(self, monkeypatch):
         # q = 163, h = 400001 sieves by the ~7.3e4 primes up to sqrt(top)
         # even at y = 10: each form holds two int64 arrays over them

@@ -133,6 +133,26 @@ class TestVerify:
         assert "does not satisfy the congruence system for q=7" in out
         assert "q=163: reduced congruence system matches 4x4 form ok" in out
 
+    def test_a_sweep_failure_ends_only_its_field(self, capsys, monkeypatch):
+        # the walk runs outside the check groups: its IdentityError ends q = 7
+        # after its two geometry groups, and the other fields are all checked
+        code, clean = run(capsys, "verify", "--q", "all", "--max-two-n", "40")
+        assert code == 0
+        sweep = circles.brute_force_by_radius
+
+        def failing(fld, max_two_n):
+            if fld.q == 7:
+                raise quadfield.IdentityError("the walk failed")
+            return sweep(fld, max_two_n)
+
+        monkeypatch.setattr(circles, "brute_force_by_radius", failing)
+        code, out = run(capsys, "verify", "--q", "all", "--max-two-n", "40")
+        assert code == 1
+        q7 = [line for line in clean.splitlines() if line.startswith("q=7: ")]
+        assert len(q7) > 2
+        assert out.splitlines() == [line for line in clean.splitlines()[:-1]
+                                    if line not in q7[2:]] + ["FAIL identity q=7: the walk failed"]
+
     def test_same_bytes_under_python_O(self):
         # every check raises IdentityError, so -O (asserts stripped) changes nothing;
         # check=True makes each run exit 0
@@ -485,6 +505,23 @@ def test_inert_prime_called_split_exits_1(capsys, monkeypatch, argv):
                               "but no element has norm 2\n")
 
 
+@pytest.mark.parametrize("command", ["circle", "plot"])
+def test_two_pairs_on_one_matrix_exit_1(capsys, monkeypatch, command):
+    # every pair of a radius sent to its first matrix: the whole-circle check
+    # fails before a row or a point is written, though each pair alone maps
+    original, first = circles.matrix_from_split, {}
+
+    def collapsed(fld, *rust):
+        g = original(fld, *rust)
+        return first.setdefault(halfplane.arithmetic_radius(fld, g), g)
+
+    monkeypatch.setattr(circles, "matrix_from_split", collapsed)
+    code = main([command, "--q", "11", "--two-n", "29"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"{command}: identity failed: q=11 two_n=29: "
+                                       "two pairs map to the same matrix\n")
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("command", [
         ["survey", "--q", "3", "--x", "3000"],   # breaks while the rows are written
@@ -616,6 +653,7 @@ USAGE_ERRORS = [
     (["circle", "--q", "3", "--two-n", "5", "--k", str(10 ** 4 + 1)],
      "circle: --k capped at 10^4"),
     (["circle", "--q", "3", "--two-n", "5,6"], "circle: two_n=6 has wrong parity for q=3"),
+    (["circle", "--q", "11", "--two-n", "29", "--k", "0"], "circle: K >= 1 required"),
     (["survey", "--q", "3", "--x", "2e7"], "survey: --x capped at 10^7"),
     (["count", "--q", "3", "--x", "2e6"], "count: --x capped at 10^6"),
     (["bnumbers", "--q", "3", "--x", "2e9", "--h", "1"],
@@ -658,8 +696,9 @@ USAGE_ERRORS = [
 
 @pytest.mark.parametrize("argv,message", USAGE_ERRORS,
                          ids=["verify-cap", "circle-two-n-cap", "circle-k-cap",
-                              "circle-parity", "survey-cap", "count-cap", "bnumbers-cap",
-                              "sieve-x-cap", "bnumbers-h-cap", "bnumbers-negative-h-cap",
+                              "circle-parity", "circle-k-zero", "survey-cap", "count-cap",
+                              "bnumbers-cap", "sieve-x-cap", "bnumbers-h-cap",
+                              "bnumbers-negative-h-cap",
                               "sieve-x-below-1", "sieve-z", "sieve-s", "sieve-z-nan",
                               "sieve-s-nan", "sieve-s-inf", "sieve-s-and-z", "survey-x-nan",
                               "count-x-nan", "bnumbers-x-nan", "bnumbers-x-minus-inf",

@@ -76,6 +76,12 @@ def test_one_weyl_sum():
     assert _functions_naming("exp") == ["heegner_circles/quadfield.py: _weyl_sums"]
 
 
+def test_one_bottom_row_walk():
+    # both brute-force oracles read the matrices off one walk over bottom rows
+    assert _functions_naming("_row_families") == ["heegner_circles/circles.py: _row_families",
+                                                  "heegner_circles/circles.py: _row_walk"]
+
+
 def _reads_q(node):
     return (isinstance(node, ast.Name) and node.id == "q"
             or isinstance(node, ast.Attribute) and node.attr == "q")
