@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from math import gcd, isqrt
 
 import numpy as np
@@ -36,34 +36,25 @@ class IdentityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Discriminant:
-    """One of the nine fields: q > 0 with field discriminant -q."""
+    """One of the nine fields: q > 0 with field discriminant -q, which fixes the rest."""
 
     q: int
-    two_mu: int       # 2*mu, so 0 for q = 4, 8 and 1 otherwise
-    unit_count: int   # number of units in the ring of integers
+    two_mu: int = dc_field(init=False)       # 2*mu, so 0 for q = 4, 8 and 1 otherwise
+    unit_count: int = dc_field(init=False)   # number of units in the ring of integers
+    z_norm: int = dc_field(init=False)       # |z_q|^2, always an integer: (q + two_mu)/4
+    z: complex = dc_field(init=False)        # the Heegner point z_q as binary64 complex
+    ramified_prime: int = dc_field(init=False)
 
     def __post_init__(self) -> None:
-        if self.q not in CLASS_NUMBER_ONE_Q:
-            raise ValueError(f"q={self.q} is not a class-number-one discriminant")
-        two_mu, units = _SHAPES[self.q]
-        if self.two_mu != two_mu:
-            raise ValueError(f"q={self.q}: two_mu={self.two_mu}, expected {two_mu}")
-        if self.unit_count != units:
-            raise ValueError(f"q={self.q}: unit_count={self.unit_count}, expected {units}")
-
-    @property
-    def z_norm(self) -> int:
-        """|z_q|^2, always an integer: (q + two_mu)/4."""
-        return (self.q + self.two_mu) // 4
-
-    @property
-    def z(self) -> complex:
-        """The Heegner point z_q as binary64 complex."""
-        return complex(self.two_mu / 2.0, math.sqrt(self.q) / 2.0)
-
-    @property
-    def ramified_prime(self) -> int:
-        return 2 if self.q % 2 == 0 else self.q
+        q = self.q
+        if q not in CLASS_NUMBER_ONE_Q:
+            raise ValueError(f"q={q} is not a class-number-one discriminant")
+        two_mu, units = _SHAPES[q]
+        object.__setattr__(self, "two_mu", two_mu)
+        object.__setattr__(self, "unit_count", units)
+        object.__setattr__(self, "z_norm", (q + two_mu) // 4)
+        object.__setattr__(self, "z", complex(two_mu / 2.0, math.sqrt(q) / 2.0))
+        object.__setattr__(self, "ramified_prime", 2 if q % 2 == 0 else q)
 
     def ramified_generator(self) -> "AlgebraicInt":
         """An element of norm equal to the ramified prime."""
@@ -79,7 +70,7 @@ _UNIT_COORDS = {6: ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)),
                 4: ((1, 0), (0, 1), (-1, 0), (0, -1)),
                 2: ((1, 0), (-1, 0))}
 
-_FIELDS = {q: Discriminant(q, *shape) for q, shape in _SHAPES.items()}
+_FIELDS = {q: Discriminant(q) for q in _SHAPES}
 
 
 def field(q: int) -> Discriminant:

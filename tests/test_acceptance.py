@@ -102,6 +102,7 @@ class TestCriterion03PointSets:
     def test_point_set_equality_to_2000(self):
         bad = []
         total = 0
+        mirrored = 0
         for f in all_fields():
             for radius in _radii(f, 2000):
                 total += 1
@@ -118,8 +119,16 @@ class TestCriterion03PointSets:
                 expect2 = radius.c4 * quadfield.r_count(f, M)
                 if len(pts) * 2 != expect2 or len(pts) != quadfield.r_star(f, M):
                     bad.append((f.q, radius.two_n, "count"))
+                # each point (h, Y) is a restricted element u + r z_q of norm M, h = r and
+                # Y = 2 Re = 2u + two_mu r, or its mirror -Y when 2m != two_n (mod q)
+                sign = 1 if (2 * quadfield.residue_m(f, M) - radius.two_n) % f.q == 0 else -1
+                mirrored += sign == -1
+                elements = quadfield._restricted_coords(f, M, radius.norm_factors)
+                if [(p.h, p.Y) for p in pts] != \
+                        sorted((r, sign * (2 * u + f.two_mu * r)) for u, r in elements):
+                    bad.append((f.q, radius.two_n, "point-element correspondence"))
         _report(3, "point-set equality two_n <= 2000", not bad,
-                f"{total} radii checked; failures: {bad[:3]}")
+                f"{total} radii checked, {mirrored} by the mirror set; failures: {bad[:3]}")
         assert not bad
 
 

@@ -17,8 +17,9 @@ from sympy.functions.combinatorial.numbers import kronecker_symbol
 
 from oracles import restricted_elements
 from heegner_circles import quadfield
-from heegner_circles.circles import enumerate_pairs, radii_up_to
-from heegner_circles.halfplane import congruence_holds
+from heegner_circles.bnumbers import norm_indicator_array
+from heegner_circles.circles import Radius, brute_force_matrices, enumerate_pairs, radii_up_to
+from heegner_circles.halfplane import UnimodularMatrix, apply_mobius, congruence_holds, disc_map
 from heegner_circles.quadfield import (CLASS_NUMBER_ONE_Q, AlgebraicInt,
                                        Discriminant, IdentityError, all_fields,
                                        b_indicator, chi, elements_of_norm,
@@ -69,14 +70,33 @@ class TestField:
                              ids=["q4-two-mu", "q7-two-mu", "q3-units", "q163-units",
                                   "q7-two-mu-2", "q163-two-mu-minus-1"])
     def test_inconsistent_constants_raise(self, q, two_mu, units):
-        with pytest.raises(ValueError, match=f"q={q}"):
+        # q is the only argument, so a field whose constants disagree with q cannot be written
+        with pytest.raises(TypeError):
             Discriminant(q, two_mu, units)
+
+    #: q: (z_norm, imag(z) as float.hex, ramified_prime), pinned bit for bit;
+    #: real(z) is two_mu / 2 exactly
+    DERIVED = {3: (1, "0x1.bb67ae8584caap-1", 3), 4: (1, "0x1.0000000000000p+0", 2),
+               7: (2, "0x1.52a7fa9d2f8eap+0", 7), 8: (2, "0x1.6a09e667f3bcdp+0", 2),
+               11: (3, "0x1.a887293fd6f34p+0", 11), 19: (5, "0x1.16f8334644df9p+1", 19),
+               43: (11, "0x1.a3ad12a1da160p+1", 43), 67: (17, "0x1.05ee68efad48bp+2", 67),
+               163: (41, "0x1.988c745f88592p+2", 163)}
+
+    @pytest.mark.parametrize("q", QS)
+    def test_field_is_its_q(self, q):
+        f = Discriminant(q)
+        assert f == field(q)
+        assert (f.two_mu, f.unit_count) == quadfield._SHAPES[q]
+        z_norm, imag_hex, ramified = self.DERIVED[q]
+        assert (f.z_norm, f.ramified_prime) == (z_norm, ramified)
+        assert f.z.real.hex() == (f.two_mu / 2.0).hex()
+        assert f.z.imag.hex() == imag_hex
 
     def test_checks_run_under_python_O(self):
         # ValueError, not assert: python -O (asserts stripped) still rejects
         src = os.path.dirname(os.path.dirname(quadfield.__file__))
         prog = ("from heegner_circles.quadfield import AlgebraicInt, Discriminant, field\n"
-                "for make in (lambda: Discriminant(4, 1, 4), lambda: Discriminant(3, 1, 2),\n"
+                "for make in (lambda: Discriminant(5),\n"
                 "             lambda: AlgebraicInt(1, 1, field(3)) * AlgebraicInt(1, 1, field(7))):\n"
                 "    try:\n"
                 "        make()\n"
@@ -84,9 +104,35 @@ class TestField:
                 "        print(exc)\n")
         out = subprocess.run([sys.executable, "-O", "-c", prog], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, check=True).stdout
-        assert out.splitlines() == ["q=4: two_mu=1, expected 0",
-                                    "q=3: unit_count=2, expected 6",
+        assert out.splitlines() == ["q=5 is not a class-number-one discriminant",
                                     "product of elements of q=3 and q=7"]
+
+
+#: (call, the start of its ValueError message): each argument check of the package
+#: that nothing else in the suite reaches
+_BELOW = 0.5 - 1j   # a point below the real axis
+ARGUMENT_CHECKS = {
+    "r_count": (lambda: r_count(field(3), 0), "r_count expects M >= 1"),
+    "enumerate_norm": (lambda: enumerate_norm(field(3), 0), "enumerate_norm expects M >= 1"),
+    "b_indicator": (lambda: b_indicator(field(3), 0), "b_indicator expects n >= 1"),
+    "omega_pair": (lambda: omega_pair(field(3), 0), "omega_pair expects M >= 1"),
+    "r_star": (lambda: r_star(field(3), 0), "r_star expects M >= 1"),
+    "v_k": (lambda: v_k(field(3), 0, 1), "v_k expects M >= 1"),
+    "apply_mobius": (lambda: apply_mobius(UnimodularMatrix(1, 0, 0, 1), _BELOW),
+                     "point must lie in the upper half-plane"),
+    "disc_map": (lambda: disc_map(field(3), _BELOW), "point must lie in the upper half-plane"),
+    "radii_up_to": (lambda: radii_up_to(field(3), 1.0), "x below the minimal radius"),
+    "brute_force_matrices": (lambda: brute_force_matrices(Radius(field(3), 10 ** 6 + 1)),
+                             "brute-force oracle capped"),
+    "norm_indicator_array": (lambda: norm_indicator_array(field(3), 0), "limit >= 1 required"),
+}
+
+
+@pytest.mark.parametrize("name", ARGUMENT_CHECKS)
+def test_argument_checks_raise(name):
+    call, message = ARGUMENT_CHECKS[name]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
 
 
 class TestChi:
@@ -127,9 +173,21 @@ class TestChi:
     @example(-1)
     @settings(max_examples=300, deadline=None)
     def test_matches_sympy_kronecker_symbol(self, n):
-        # positive n read off the per-field table, the rest through kronecker
+        # chi reads its table modulo q for every integer n, negative and zero too
         for f in all_fields():
             assert chi(f, n) == kronecker_symbol(-f.q, n), (f.q, n)
+
+    @given(st.integers(-10 ** 4, 10 ** 4), st.integers(-10 ** 4, 10 ** 4))
+    @example(0, 0)
+    @example(-3, 0)
+    @example(-1, -4)
+    @example(-5, -8)
+    @example(3, -6)
+    @example(4, -6)
+    @settings(max_examples=1000, deadline=None)
+    def test_kronecker_matches_sympy_on_signed_inputs(self, a, n):
+        # both signs of a and n, zero and even n: every branch of kronecker
+        assert kronecker(a, n) == kronecker_symbol(a, n), (a, n)
 
     def test_kronecker_bottom_cases(self):
         assert kronecker(1, 0) == 1

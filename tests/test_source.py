@@ -1,7 +1,11 @@
 """Checks on the package source itself."""
 import ast
+import dataclasses
 import pathlib
 import re
+import sys
+
+import pytest
 
 import heegner_circles
 
@@ -240,3 +244,54 @@ def test_src_holds_only_what_is_reached():
     toy = ast.parse("def main():\n    f()\ndef f():\n    pass\n"
                     "def g():\n    h()\ndef h():\n    pass\n")
     assert _unreached([toy], ["main"]) == ["g", "h"]
+
+
+def test_discriminant_takes_q_alone():
+    # every other constant of a field follows from q, so it is set in
+    # __post_init__ and cannot be passed in to disagree with q
+    init = [f.name for f in dataclasses.fields(heegner_circles.Discriminant) if f.init]
+    assert init == ["q"]
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+#: Modules of this repository, not of an installed distribution.
+LOCAL_MODULES = {"heegner_circles", "oracles", "conftest"}
+
+
+def _third_party_imports(trees):
+    """The top-level names of the modules the trees import that are neither
+    the standard library's nor local."""
+    found = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - LOCAL_MODULES
+
+
+def _parsed(paths):
+    return [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in paths]
+
+
+def _requirement_names(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+            for req in requirements}
+
+
+def test_pyproject_names_every_imported_module():
+    # a module the code imports but pyproject.toml leaves out installs only
+    # where it happens to be present already
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    runtime = _requirement_names(project["dependencies"])
+    test = _requirement_names(project["optional-dependencies"]["test"])
+    assert _third_party_imports(_parsed(sorted((SRC / "heegner_circles").glob("*.py")))) <= runtime
+    assert _third_party_imports(_parsed(sorted((ROOT / "tests").glob("*.py")))) <= runtime | test
+    # the check itself sees a third-party import, also inside a function, and
+    # passes over the standard library, relative imports and local modules
+    toy = ast.parse("import numpy as np\nfrom os import path\nfrom . import quadfield\n"
+                    "import oracles\ndef f():\n    from sympy.ntheory import isprime\n")
+    assert _third_party_imports([toy]) == {"numpy", "sympy"}
+    assert _requirement_names(["numpy>=1.24", "Foo-Bar[x]"]) == {"numpy", "foo_bar"}
