@@ -10,9 +10,9 @@ Three descriptions of the same finite set:
     Y = two_n (mod q) (the point set, read off the pairs with each point
     hit unit_count/2 times; the _solve_circle oracle solves it directly).
 
-verify and the tests compare the oracles against the pair path, and so
-does equidist.circle_problem_sum: at x <= 10^3 its direct_cosh_count
-walks brute_force_by_radius.
+verify and the tests compare the oracles against the pair path.
+equidist.circle_problem_sum checks its sum at x <= 10^3 against
+direct_cosh_count, which adds up the lengths of the walk's row intervals.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .bnumbers import _indicator_block, _pair_blocks
 from .halfplane import (UnimodularMatrix, arithmetic_radius, congruence_holds,
                         coords_from_split, matrix_from_split, _radius16)
 from .quadfield import (AlgebraicInt, Discriminant, IdentityError, factorize,
-                        r_count_from_factors, _ext_gcd, _quadrant, _unit_blocks)
+                        r_count_from_factors, _quadrant, _unit_blocks)
 
 
 @dataclass(frozen=True)
@@ -231,62 +231,53 @@ def _solve_circle(fld: Discriminant, two_n: int) -> list[tuple[int, int]]:
             for h in {y, -y} for Y in {x, -x} if (Y - two_n) % q == 0]
 
 
-def _row_families(fld: Discriminant, max_two_n: int):
-    """Yield (a0, b0, c, d) for every bottom row that can reach radius <= max_two_n.
+def _rows(fld: Discriminant, max_two_n: int):
+    """Yield ((a0, b0, c, d), (A, B, C), (lo, hi)) for each coprime bottom row (c, d) with
+    16R <= 8 max_two_n at some real t: 16R(a0 + tc, b0 + td, c, d) = A t^2 + B t + C, and
+    the integer t with 16R <= 8 max_two_n are exactly lo..hi (lo = hi + 1 when none is).
 
-    The bound comes from 2 lambda^2 N(d + c z_q) = n - y <= n + sqrt(n^2 - 4 lambda^4):
-    scaled, q * N(d + c z_q) <= two_n + sqrt(two_n^2 - q^2) < 2 * two_n.
+    The rows come from 2 lambda^2 N(d + c z_q) = n - y <= n + sqrt(n^2 - 4 lambda^4):
+    scaled, q * N(d + c z_q) <= two_n + sqrt(two_n^2 - q^2) < 2 * two_n.  A = 4 ((2d +
+    two_mu c)^2 + q c^2) > 0, so for D = B^2 - 4 A (C - 8 max_two_n) >= 0 the t fill the
+    real interval [(-B - sqrt D) / 2A, (-B + sqrt D) / 2A], and lo, hi are its ends rounded
+    inwards.  isqrt rounds them exactly: floor((m + isqrt D) / k) = floor((m + sqrt D) / k)
+    for all integers m and k > 0.  isqrt D <= sqrt D gives <=; for >=, j = floor((m +
+    sqrt D) / k) has the integer j k - m <= sqrt D, so j k - m <= isqrt D.
+    lo = -floor((B + sqrt D) / 2A) takes m = B, and hi = floor((sqrt D - B) / 2A) m = -B.
     """
     tm = fld.two_mu
     q = fld.q
+    target = 8 * max_two_n
     lim4 = 4 * (max_two_n + isqrt(max(0, max_two_n ** 2 - q * q))) // q + 5
     for c in range(0, isqrt(lim4 // q) + 2):
         rem = lim4 - q * c * c
         if rem < 0:
             continue
         w = isqrt(rem)
-        dlo = (-w - tm * c) // 2 - 1
-        dhi = (w - tm * c) // 2 + 1
-        for d in range(dlo, dhi + 1):
-            if c == 0:
-                if d == 1:
-                    yield (1, 0, 0, 1)
+        for d in range((-w - tm * c) // 2 - 1, (w - tm * c) // 2 + 2):
+            if gcd(c, d) != 1 or c == 0 and d != 1:
                 continue
-            if gcd(c, d) != 1:
-                continue
-            g, a0, b0 = _ext_gcd(d, -c)
-            yield (a0, b0, c, d)
-
-
-def _row_quadratic(fld: Discriminant, a0: int, b0: int, c: int, d: int) -> tuple[int, int, int]:
-    """Coefficients of 16R(a0 + tc, b0 + td, c, d) as A t^2 + B t + C."""
-    f0 = _radius16(fld, a0, b0, c, d)
-    f1 = _radius16(fld, a0 + c, b0 + d, c, d)
-    fm1 = _radius16(fld, a0 - c, b0 - d, c, d)
-    A = (f1 + fm1 - 2 * f0) // 2
-    B = (f1 - fm1) // 2
-    return A, B, f0
+            a0 = pow(d, -1, c) if c else 1   # the c = 0 row is the identity's
+            b0 = (a0 * d - 1) // c if c else 0
+            f0 = _radius16(fld, a0, b0, c, d)
+            f1 = _radius16(fld, a0 + c, b0 + d, c, d)
+            fm1 = _radius16(fld, a0 - c, b0 - d, c, d)
+            A, B = (f1 + fm1 - 2 * f0) // 2, (f1 - fm1) // 2
+            disc = B * B - 4 * A * (f0 - target)
+            if disc >= 0:
+                w = isqrt(disc)
+                yield (a0, b0, c, d), (A, B, f0), (-((B + w) // (2 * A)), (w - B) // (2 * A))
 
 
 def _row_walk(fld: Discriminant, max_two_n: int) -> Iterator[tuple[int, UnimodularMatrix]]:
-    """Yield (two_n, gamma) for every matrix of radius <= max_two_n: on each coprime bottom
-    row 16R is a quadratic in the top-row parameter t, <= 8 max_two_n on an interval of t."""
-    target = 8 * max_two_n
-    for a0, b0, c, d in _row_families(fld, max_two_n):
-        A, B, C = _row_quadratic(fld, a0, b0, c, d)
-        disc = B * B - 4 * A * (C - target)
-        if disc < 0:
-            continue
-        w = isqrt(disc)
-        lo = (-B - w) // (2 * A) - 1
-        hi = (-B + w) // (2 * A) + 1
+    """Yield (two_n, gamma) for every matrix of radius <= max_two_n: each t of each row."""
+    for (a0, b0, c, d), (A, B, C), (lo, hi) in _rows(fld, max_two_n):
         for t in range(lo, hi + 1):
             v = A * t * t + B * t + C
-            if v <= target:
-                if v % 8:
-                    raise IdentityError(f"q={fld.q}: 16R = {v} at row {(c, d)}, t={t} "
-                                        "is not divisible by 8")
-                yield v // 8, UnimodularMatrix(a0 + t * c, b0 + t * d, c, d)
+            if v % 8:
+                raise IdentityError(f"q={fld.q}: 16R = {v} at row {(c, d)}, t={t} "
+                                    "is not divisible by 8")
+            yield v // 8, UnimodularMatrix(a0 + t * c, b0 + t * d, c, d)
 
 
 def brute_force_matrices(radius: Radius) -> list[UnimodularMatrix]:
@@ -295,21 +286,21 @@ def brute_force_matrices(radius: Radius) -> list[UnimodularMatrix]:
     fld = radius.field
     if radius.two_n > 10 ** 6:
         raise ValueError("brute-force oracle capped at two_n <= 10^6")
-    out = set()
+    out = []
     for two_n, g in _row_walk(fld, radius.two_n):
         if two_n == radius.two_n:
             if arithmetic_radius(fld, g) != two_n:
                 raise IdentityError(f"q={fld.q} two_n={two_n}: the row walk "
                                     f"gave {g.entries()} of another radius")
-            out.add(g)
+            out.append(g)
     return sorted(out)
 
 
 def brute_force_by_radius(fld: Discriminant, max_two_n: int) -> dict[int, list[UnimodularMatrix]]:
     """All matrices with radius <= max_two_n: one row walk, bucketed by two_n."""
-    buckets: dict[int, set[UnimodularMatrix]] = {}
+    buckets: dict[int, list[UnimodularMatrix]] = {}
     for two_n, g in _row_walk(fld, max_two_n):
-        buckets.setdefault(two_n, set()).add(g)
+        buckets.setdefault(two_n, []).append(g)
     return {tn: sorted(ms) for tn, ms in sorted(buckets.items())}
 
 

@@ -96,7 +96,8 @@ def _random_matrices(rng: random.Random, count: int, bound: int) -> list[Unimodu
         d = rng.randint(-bound, bound)
         if math.gcd(c, d) != 1:
             continue
-        g, a0, b0 = circles._ext_gcd(d, -c)
+        a0 = pow(d, -1, abs(c)) if c else d
+        b0 = (a0 * d - 1) // c if c else 0
         t = rng.randint(-3, 3)
         out.append(UnimodularMatrix(a0 + t * c, b0 + t * d, c, d))
     return out

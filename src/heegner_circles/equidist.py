@@ -11,8 +11,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .bnumbers import _pair_blocks, r_count_array
-from .circles import (Radius, brute_force_by_radius, iter_radii, pairs_to_matrices,
-                      stabilizer_size)
+from .circles import Radius, iter_radii, pairs_to_matrices, stabilizer_size, _rows
 from .halfplane import apply_mobius, disc_map
 # factorize is not called here; bench/test_bench.py checks that the tracer
 # rewraps it in this namespace too
@@ -245,10 +244,10 @@ class CircleSumResult:
     total: int              # centre term + convolution sum
     convolution_part: int   # sum over radii q < two_n <= q*x
     centre_term: int        # matrices at distance zero (the stabilizer)
-    direct_count: int | None  # brute-force matrix count, when computed
+    direct_count: int | None  # the count by bottom rows, when computed
 
 
-_DIRECT_X_LIMIT = 10 ** 3   # the largest x direct_cosh_count walks
+_DIRECT_X_LIMIT = 10 ** 3   # the largest x direct_cosh_count counts
 
 
 def _max_two_n(q: int, x: float) -> int:
@@ -269,7 +268,7 @@ def circle_problem_sum(fld: Discriminant, x: float) -> CircleSumResult:
     otherwise.  r comes off the bnumbers walker at shift q, so memory does
     not grow with x.  The total times 4 is accumulated and checked
     divisible.  At x <= 10^3 the total is also checked against
-    direct_cosh_count, the brute-force matrix count.
+    direct_cosh_count, the count by bottom rows.
     """
     if not 1 <= x < math.inf:
         raise ValueError("finite x >= 1 required")
@@ -293,14 +292,11 @@ def circle_problem_sum(fld: Discriminant, x: float) -> CircleSumResult:
 
 
 def direct_cosh_count(fld: Discriminant, x: float) -> int:
-    """Brute-force count of matrices with cosh(distance to z_q) <= x."""
+    """Matrices with cosh(distance to z_q) <= x, counted by bottom rows: the lengths of
+    their t-intervals, with no matrix built."""
     if x > _DIRECT_X_LIMIT:
         raise ValueError("direct count capped at x <= 10^3")
-    q = fld.q
-    max_two_n = _max_two_n(q, x)
-    if max_two_n < q:
-        return 0
-    return sum(len(ms) for ms in brute_force_by_radius(fld, max_two_n).values())
+    return sum(hi - lo + 1 for _, _, (lo, hi) in _rows(fld, _max_two_n(fld.q, x)))
 
 
 def matrix_angle_discrepancy(radius: Radius) -> float:

@@ -184,14 +184,6 @@ _prime_table_bound = 0   # _prime_table holds every prime up to this
 _spf_table: np.ndarray | None = None
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
 def _eratosthenes(bound: int) -> np.ndarray:
     """The primes up to bound, ascending, as int64."""
     sieve = np.ones(bound + 1, dtype=bool)

@@ -46,3 +46,11 @@ def _discrepancy_pairs(angles_seq: list[float]) -> float:
 def restricted_elements(fld: Discriminant, M: int) -> list[AlgebraicInt]:
     """Elements of norm M satisfying 2*Re = 2m (mod q)."""
     return [AlgebraicInt(u, r, fld) for u, r in _restricted_coords(fld, M, None)]
+
+
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0, by Euclid."""
+    if b == 0:
+        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
+    g, x, y = ext_gcd(b, a % b)
+    return g, y, x - (a // b) * y

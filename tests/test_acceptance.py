@@ -18,6 +18,7 @@ from heegner_circles.circles import Radius, iter_radii
 from heegner_circles.cli import main
 from heegner_circles.halfplane import UnimodularMatrix
 from heegner_circles.quadfield import all_fields, field
+from oracles import ext_gcd
 
 QS = quadfield.CLASS_NUMBER_ONE_Q
 
@@ -143,7 +144,7 @@ class TestCriterion04MatrixIdentities:
                 d = rng.randint(-1000, 1000)
                 if gcd(c, d) != 1:
                     continue
-                g0, a0, b0 = circles._ext_gcd(d, -c)
+                g0, a0, b0 = ext_gcd(d, -c)
                 g = UnimodularMatrix(a0, b0, c, d)
                 checked += 1
                 two_n = halfplane.arithmetic_radius(f, g)

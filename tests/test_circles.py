@@ -253,15 +253,25 @@ class TestBruteForce:
 
     def test_sweep_value_off_the_lattice_raises(self, monkeypatch):
         # 16R must be a multiple of 8 on every row the sweep walks
-        original = circles._row_quadratic
-
-        def shifted(*args):
-            A, B, C = original(*args)
-            return A, B, C + 1
-
-        monkeypatch.setattr(circles, "_row_quadratic", shifted)
+        original = circles._radius16
+        monkeypatch.setattr(circles, "_radius16", lambda *args: original(*args) + 1)
         with pytest.raises(IdentityError, match="is not divisible by 8"):
             brute_force_by_radius(field(3), 40)
+
+    def test_row_ends_are_exact(self):
+        # lo..hi are exactly the t with 16R <= 8 max_two_n: the bound holds on the
+        # whole interval and fails just past each end, on the empty rows too
+        empty = {}
+        for f in all_fields():
+            for max_two_n in (f.q + 2, 400, 2000):
+                target = 8 * max_two_n
+                empty[f.q, max_two_n] = 0
+                for _, (A, B, C), (lo, hi) in circles._rows(f, max_two_n):
+                    values = [A * t * t + B * t + C for t in range(lo - 1, hi + 2)]
+                    assert values[0] > target and values[-1] > target, (f.q, max_two_n, lo, hi)
+                    assert max(values[1:-1], default=target) <= target, (f.q, max_two_n, lo, hi)
+                    empty[f.q, max_two_n] += lo == hi + 1
+        assert empty[3, 2000] == 144
 
 
 class TestLatticePoints:

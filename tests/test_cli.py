@@ -153,6 +153,24 @@ class TestVerify:
         assert out.splitlines() == [line for line in clean.splitlines()[:-1]
                                     if line not in q7[2:]] + ["FAIL identity q=7: the walk failed"]
 
+    def test_a_row_yielded_twice_fails_the_count_and_the_oracle(self, capsys, monkeypatch):
+        # the oracles keep every matrix the walk yields, so a row that comes out twice
+        # shows in the direct count and in the walk's buckets alike; a set would hide it
+        original = circles._rows
+
+        def twice(fld, max_two_n):
+            rows = list(original(fld, max_two_n))
+            return rows + [row for row in rows if row[0][2] >= 1 and row[2][0] <= row[2][1]][:1]
+
+        for namespace in (circles, equidist):
+            monkeypatch.setattr(namespace, "_rows", twice)
+        for f in quadfield.all_fields():
+            with pytest.raises(quadfield.IdentityError, match="direct count"):
+                equidist.circle_problem_sum(f, 200)
+        code, out = run(capsys, "verify", "--max-two-n", "200")
+        assert code == 1
+        assert any(line.startswith("FAIL oracle-equivalence") for line in out.splitlines())
+
     def test_same_bytes_under_python_O(self):
         # every check raises IdentityError, so -O (asserts stripped) changes nothing;
         # check=True makes each run exit 0

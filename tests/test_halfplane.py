@@ -13,6 +13,7 @@ from heegner_circles.halfplane import (UnimodularMatrix, apply_mobius,
                                        matrix_from_split, split_coordinates)
 from heegner_circles import halfplane
 from heegner_circles.quadfield import AlgebraicInt, IdentityError, all_fields, field
+from oracles import ext_gcd
 
 
 def random_matrices(seed, count, bound=40):
@@ -23,17 +24,10 @@ def random_matrices(seed, count, bound=40):
         if math.gcd(c, d) != 1:
             continue
         # extend (c, d) to a unimodular matrix, then shear
-        g, x, y = _ext_gcd(d, -c)
+        g, x, y = ext_gcd(d, -c)
         t = rng.randint(-4, 4)
         out.append(UnimodularMatrix(x + t * c, y + t * d, c, d))
     return out
-
-
-def _ext_gcd(a, b):
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
 
 
 class TestMatrix:
@@ -53,7 +47,7 @@ class TestMatrix:
     def test_canonical_rep_is_stable(self, c, d, t):
         if math.gcd(c, d) != 1:
             return
-        g, x, y = _ext_gcd(d, -c)
+        g, x, y = ext_gcd(d, -c)
         m = UnimodularMatrix(x + t * c, y + t * d, c, d)
         flipped = UnimodularMatrix(-m.a, -m.b, -m.c, -m.d)
         assert m == flipped

@@ -81,9 +81,15 @@ def test_one_weyl_sum():
 
 
 def test_one_bottom_row_walk():
-    # both brute-force oracles read the matrices off one walk over bottom rows
-    assert _functions_naming("_row_families") == ["heegner_circles/circles.py: _row_families",
-                                                  "heegner_circles/circles.py: _row_walk"]
+    # both brute-force oracles read the matrices off one walk over bottom rows, and the
+    # direct count adds up the same rows' t-intervals with no matrix built
+    assert _functions_naming("_rows") == ["heegner_circles/circles.py: _row_walk",
+                                          "heegner_circles/circles.py: _rows",
+                                          "heegner_circles/equidist.py: direct_cosh_count"]
+    path = SRC / "heegner_circles" / "equidist.py"
+    [count] = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+               if isinstance(node, ast.FunctionDef) and node.name == "direct_cosh_count"]
+    assert {"_row_walk", "brute_force_by_radius", "UnimodularMatrix"} & set(_names(count)) == set()
 
 
 def _reads_q(node):
