@@ -26,10 +26,10 @@ from . import quadfield
 from .quadfield import Discriminant, IdentityError, chi, chi_table, factorize
 
 #: Integers per block of `_pair_blocks`: on 2 x86-64 vCPUs `count --q 163 --x 10000`
-#: peaks at 36.9 MB (50.9 MB at 2^20); the 10^7 curve sieves in 0.07 s (0.06 s).
+#: peaks at 33.7 MB (39.3 MB at 2^20); the 10^7 curve sieves in 0.04-0.06 s (0.04-0.05 s).
 _BLOCK = 1 << 18
 #: Terms per block of `_sift`, which tests the roots of up to 6.6*10^5 primes a block:
-#: `bnumbers --q 7 --x 1e7 --h 3 --s 2.5` takes 1.9-2.0 s (3.6-4.1 s at 2^18).
+#: `bnumbers --q 7 --x 1e7 --h 3 --s 2.5` takes 1.2-1.6 s, 46 MB (2.4-4.0 s, 36 MB at 2^18).
 _SIFT_BLOCK = 1 << 20
 
 
@@ -78,9 +78,10 @@ class _LinearForm:
                                  np.int64, len(powers))
 
     def values(self, lo: int, n: int) -> np.ndarray:
-        """The terms at j = lo, ..., lo + n - 1 as int64."""
+        """The terms at j = lo, ..., lo + n - 1: int32 when the last is below 2^31, else int64."""
         first = self.a * lo + self.b
-        return np.arange(first, first + self.a * n, self.a, dtype=np.int64)
+        lane = np.int32 if first + self.a * (n - 1) < 1 << 31 else np.int64
+        return np.arange(first, first + self.a * n, self.a, dtype=lane)
 
     def hits(self, lo: int, n: int, keep=True):
         """(p, [(start, p^k), ...]) for each prime of primes[keep] dividing a
@@ -190,8 +191,8 @@ def norm_indicator_array(fld: Discriminant, limit: int) -> np.ndarray:
 
 def r_count_array(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.ndarray:
     """r(m), the number of algebraic integers of norm m, for m = lo, ...,
-    lo + n - 1 (lo >= 1), as int64; form is integers_form(top) with
-    top >= lo + n - 1.
+    lo + n - 1 (lo >= 1), in the dtype of form.values: int32 when m < 2^31;
+    form is integers_form(top) with top >= lo + n - 1.
 
     r(m) = unit_count * prod over split p^e || m of (e + 1), and 0 when an
     inert prime divides m to odd order.  Every prime p <= sqrt(top) is
@@ -199,11 +200,16 @@ def r_count_array(fld: Discriminant, form: _LinearForm, lo: int, n: int) -> np.n
     an inert one marks its odd exponents.  What is left of m is 1 or a
     single prime c > sqrt(top), read by the character: split c gives
     2 = 1 + chi(c), inert c gives 0, ramified c gives 1.
+
+    int32 holds it: below 2^31 the divisor count d(m) is at most 1600 (at
+    m = 2095133040), so every partial product here is at most
+    unit_count * d(m) <= 9600, the walker's r(m) * r(m + h) <= 9600^2 < 2^31,
+    and numpy sums int32 in int64.
     """
     _check_window("r_count_array", form, lo, n)
     table = chi_table(fld)
     rem = form.values(lo, n)
-    count = np.full(n, fld.unit_count, dtype=np.int64)
+    count = np.full(n, fld.unit_count, dtype=rem.dtype)
     odd = np.zeros(n, dtype=bool)
     for p, slices in form.hits(lo, n):
         for start, pk in slices:
@@ -353,6 +359,8 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
     Inert primes enter each factor in pairs (both factors have character
     value +1 along the progression), so every term carries 0, 2, 4, ...
     inert primes with multiplicity; an odd count raises IdentityError.
+    The count fits int8: below the cap 10^14 < 2^47 each factor has at most
+    46 prime factors, so a term has at most 92 < 127.
     all_split does not depend on z.  fld must be spec's own field.
     """
     if fld != spec.field:
@@ -371,7 +379,7 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
     counts = np.zeros(7, dtype=np.int64)   # sifted terms by inert count 0..6+
     for lo in range(1, Y + 1, _SIFT_BLOCK):
         n = min(_SIFT_BLOCK, Y + 1 - lo)
-        count = np.zeros(n, dtype=np.int64)   # inert primes with multiplicity
+        count = np.zeros(n, dtype=np.int8)    # inert primes with multiplicity
         below_z = np.zeros(n, dtype=bool)     # some inert prime < z
         for form in forms:
             rem = form.values(lo, n)
@@ -383,9 +391,11 @@ def _sift(fld: Discriminant, spec: ProgressionSpec, y: float, z: float) -> Sifte
                         count[start::pk] += 1
                     if p < z:
                         below_z[slices[0][0]::p] = True
-            big = (rem > 1) & (table[rem % len(table)] == -1)
+            big, small = rem > 1, rem < z   # read before rem is reduced in place
+            big &= table[np.remainder(rem, len(table), out=rem)] == -1
             count += big
-            below_z |= big & (rem < z)
+            below_z |= big & small
+            del rem, big, small   # freed before the next form's terms are built
         odd = np.flatnonzero(count % 2)
         if odd.size:
             j = lo + int(odd[0])

@@ -151,7 +151,7 @@ def _verify_field(fld: Discriminant, max_two_n: int, report: list[str],
             check("split-roundtrip", halfplane.matrix_from_split(fld, r, u, s, t) == g, gamma)
 
     with group("reduced congruence system matches 4x4 form ok"):
-        vs = (tuple(rng.randint(-50, 50) for _ in range(4)) for _ in range(2000))
+        vs = zip(*[iter(rng.choices(range(-50, 51), k=8000))] * 4)   # 2000 vectors
         wrong = [v for v in vs if halfplane.congruence_holds(fld, *v)
                  != halfplane.congruence_holds_full(fld, *v)]
         check("congruence-reduction", not wrong, lambda: f"v={wrong[0]}")

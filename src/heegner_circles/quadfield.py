@@ -166,8 +166,8 @@ _CHI_TABLES = {f.q: tuple(kronecker(-f.q, i) for i in range(f.q)) for f in _FIEL
 
 
 def chi_table(fld: Discriminant) -> np.ndarray:
-    """chi on residues modulo its period, for vectorized lookups."""
-    return np.array(_CHI_TABLES[fld.q], dtype=np.int64)
+    """chi on residues modulo its period, as int8, for vectorized lookups."""
+    return np.array(_CHI_TABLES[fld.q], dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,34 @@ class TestSift:
             for z in (2.5, 50, y ** (1 / 2.5), y ** (1 / 1.2), math.inf):
                 assert _sift(f, sp, y, z) == _sift_oracle(per_term[:y], z), (y, z)
 
+    def test_matches_per_term_factorization_with_the_factors_in_two_lanes(self):
+        # at y = 200 m1 = 6000006 j + 750001 stays below 2^31 and m2 = 72000072 j
+        # + 8000011 passes it at j = 30: one block, m1 in int32 and m2 in int64
+        f = field(3)
+        sp = build_progression(f, 1000001)
+        per_term = _inert_primes_per_term(f, sp, 200)
+        for z in (2.5, 50, math.inf):
+            assert _sift(f, sp, 200, z) == _sift_oracle(per_term, z), z
+
+    def test_row_across_the_int32_lane_is_pinned(self, monkeypatch):
+        # m2 = 1176 j + 1033 passes 2^31 in the second block of 2^20 terms, so one
+        # row sieves m2 first in int32, then in int64; frozen from the int64 sieve
+        f = field(7)
+        sp = build_progression(f, 3)
+        values, lanes = bnumbers._LinearForm.values, []
+
+        def spy(form, lo, n):
+            terms = values(form, lo, n)
+            lanes.append((form.a, terms.dtype.name))
+            return terms
+
+        monkeypatch.setattr(bnumbers._LinearForm, "values", spy)
+        assert sifted_decomposition(f, sp, 2 * 10 ** 6, 2.5) == SiftedDecomposition(
+            463139, 302048, 144497, 16594, 0)
+        assert lanes == [(42, "int32"), (1176, "int32"), (42, "int32"), (1176, "int64")]
+        assert _sift(f, sp, 2 * 10 ** 6, 50) == SiftedDecomposition(
+            682966, 302048, 305143, 75548, 227)
+
     def test_cli_sieves_past_psi13(self, capsys):
         # m1*m2 reaches 3.4e24 at j = 24, past where factorize is exact, but the
         # top term 3.9e12 is under the sieve's 10^14 cap, so the view sieves;
@@ -490,6 +518,17 @@ class TestLinearForm:
                 assert [p for p, _ in got] == [p for p in self.PRIMES
                                                if p <= top and term % p == 0]
 
+    @pytest.mark.parametrize("a,b", [(1, 0), (3, 2), (1176, 1033), (72000072, -991)])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_values_are_int32_exactly_when_the_last_term_is_below_2_31(self, a, b, n):
+        # k is the last index whose term a*k + b is below 2^31
+        k = ((1 << 31) - 1 - b) // a
+        form = bnumbers._LinearForm(a, b, self.PRIMES, 1 << 40)
+        for last, lane in ((k, np.int32), (k + 1, np.int64)):
+            got = form.values(last - n + 1, n)
+            assert got.dtype == lane, (a, b, last)
+            assert got.tolist() == [a * j + b for j in range(last - n + 1, last + 1)]
+
     def test_common_factor_raises(self):
         # gcd(a, b) > 1 leaves primes that divide every term off the sieve
         with pytest.raises(IdentityError, match=re.escape("linear form 6*j + 4 has a common factor")):
@@ -585,24 +624,60 @@ class TestRCountArray:
         with pytest.raises(ValueError, match="sieves 1 <= m <= 10"):
             r_count_array(field(3), integers_form(10), lo, n)
 
+    @pytest.mark.parametrize("q", [f.q for f in all_fields()])
+    def test_matches_r_count_at_the_int32_lane_boundary(self, q):
+        # windows of 64 ending at 2^31 - 1, in the int32 lane, and at 2^31 and
+        # 2^31 + 40, in the int64 lane
+        f, n = field(q), 64
+        form = integers_form((1 << 31) + 40)
+        for last, lane in (((1 << 31) - 1, np.int32), (1 << 31, np.int64),
+                           ((1 << 31) + 40, np.int64)):
+            got = r_count_array(f, form, last - n + 1, n)
+            assert got.dtype == lane, last
+            assert got.tolist() == [r_count(f, m) for m in range(last - n + 1, last + 1)], last
+
+    def test_peaks_under_12_bytes_per_integer_below_2_31(self):
+        # the terms (reduced in place) and the counts in int32, the odd and
+        # cofactor marks in bool and chi of the cofactor in int8: 11 B an integer
+        f, S = field(3), 1 << 18
+        form = integers_form((1 << 31) - 1)
+        tracemalloc.start()
+        try:
+            r_count_array(f, form, (1 << 31) - S, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * S, peak / S
+
     @given(st.sampled_from([f.q for f in all_fields()]), st.integers(1, 10 ** 9))
     @example(4, 1)
     @settings(max_examples=60, deadline=None)
     def test_matches_sympy_factorint(self, q, lo):
-        # r(m) = unit_count * prod (e + 1) over split p^e, 0 on an odd inert
-        # exponent, with factorint and sympy's Kronecker symbol as the oracle
-        f = field(q)
-        n = 64
-        got = r_count_array(f, integers_form(lo + n - 1), lo, n).tolist()
-        for m, r in zip(range(lo, lo + n), got):
-            want = f.unit_count
-            for p, e in factorint(m).items():
-                c = kronecker_symbol(-q, p)
-                if c == 1:
-                    want *= e + 1
-                elif c == -1 and e % 2:
-                    want = 0
-            assert r == want, m
+        _check_r_count_array_by_factorint(q, lo)
+
+    @given(st.sampled_from([f.q for f in all_fields()]), st.integers(1 << 31, 10 ** 11))
+    @example(4, 1 << 31)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_sympy_factorint_in_the_int64_lane(self, q, lo):
+        _check_r_count_array_by_factorint(q, lo)
+
+
+def _check_r_count_array_by_factorint(q, lo):
+    """r(m) = unit_count * prod (e + 1) over split p^e, 0 on an odd inert
+    exponent, for the 64 m from lo, with factorint and sympy's Kronecker
+    symbol as the oracle."""
+    f = field(q)
+    n = 64
+    got = r_count_array(f, integers_form(lo + n - 1), lo, n).tolist()
+    for m, r in zip(range(lo, lo + n), got):
+        want = f.unit_count
+        for p, e in factorint(m).items():
+            c = kronecker_symbol(-q, p)
+            if c == 1:
+                want *= e + 1
+            elif c == -1 and e % 2:
+                want = 0
+        assert r == want, m
 
 
 class TestPairBlocks:
