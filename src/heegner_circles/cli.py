@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import operator
 import os
 import random
 import sys
@@ -73,7 +74,7 @@ def _emit_table(args, schema: str, q, header: list[str], rows, meta=None,
     with _opened(args.out) as f:
         f.write(f"# schema: {schema} v{SCHEMA_VERSION}\n" + ",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_cell(v) for v in row) + "\n")
+            f.write(",".join(map(_cell, row)) + "\n")
         meta = (meta() if callable(meta) else meta) or {}
         if trailer is None:
             trailer = [f"{k}: {_cell(v)}" for k, v in meta.items()]
@@ -272,7 +273,7 @@ def cmd_survey(args) -> int:
         return {"x": args.x, **{k: list(v) if isinstance(v, tuple) else v
                                 for k, v in vars(stream.summary).items() if k not in ("q", "X")}}
 
-    rows = (tuple(getattr(r, col) for col in header) for r in stream)
+    rows = map(operator.attrgetter(*header), stream)
     _emit_table(args, "survey", fld.q, header, rows, meta)
     return 0
 

@@ -9,15 +9,18 @@ import math
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .bnumbers import _pair_blocks, r_count_array
 from .circles import Radius, iter_radii, pairs_to_matrices, stabilizer_size, _rows
 from .halfplane import apply_mobius, disc_map
 # factorize is not called here; bench/test_bench.py checks that the tracer
 # rewraps it in this namespace too
-from .quadfield import (Discriminant, IdentityError, chi, factorize,
-                        r_count_from_factors, restricted_angles, weyl_profile,
-                        _weyl_sums)
+from .quadfield import (Discriminant, IdentityError, chi, factorize, r_count_from_factors,
+                        residue_m, restricted_angles, weyl_profile, _UNIT_COORDS,
+                        _norm_base, _weyl_sums)
 
 #: Exponent from the equidistribution rate: log(pi/2)/log 2.
 RATE_EXPONENT = math.log(math.pi / 2) / math.log(2)
@@ -141,6 +144,10 @@ def _quantiles(vals) -> tuple[float, float, float]:
     return (s[n // 4], s[n // 2], s[(3 * n) // 4])
 
 
+#: A survey batch closes at this many elements; its arrays add 84 traced bytes a row.
+_BATCH_ELEMENTS = 1024
+
+
 class SurveyStream:
     """The survey of all radii n <= X, one row at a time: iterating yields
     each SurveyRow as it is made and keeps only what the summary needs, two
@@ -151,24 +158,36 @@ class SurveyStream:
             raise ValueError("X below the minimal radius")
         self.fld, self.X, self.summary = fld, X, None
 
+    def _batches(self) -> Iterator[tuple[list[Radius], list[tuple[int, list, int]]]]:
+        """The realized radii in batches, each with (its norm, *its norm's _norm_base)."""
+        radii, norms, size = [], [], 0
+        for radius in iter_radii(self.fld, self.X):
+            radii.append(radius)
+            norms.append((radius.norm_product, *_norm_base(self.fld, radius.norm_factors)))
+            size += len(norms[-1][1]) * self.fld.unit_count
+            if size >= _BATCH_ELEMENTS:
+                yield radii, norms
+                radii, norms, size = [], [], 0
+        if radii:
+            yield radii, norms
+
     def __iter__(self) -> Iterator[SurveyRow]:
         fld, X = self.fld, self.X
         llx = math.log(math.log(X)) if X > math.e else float("nan")
         om_col, rs_col = array("d"), array("d")
         outliers = fast1 = fast2 = 0
-        for radius in iter_radii(fld, X):
-            split = [e for p, e in radius.norm_factors if chi(fld, p) == 1]
-            angs = _radius_angles(radius)
-            row = SurveyRow(radius.two_n, len(split), sum(split), radius.c4 == 1,
-                            math.log2(len(angs)), len(angs), gamma_count(radius),
-                            circle_discrepancy(angs))
-            om_col.append(row.omega)
-            if radius.norm_product > 15:
-                rs_col.append(row.log2_r_star / math.log(math.log(radius.norm_product)))
-            outliers += not (0.5 * llx <= row.omega <= 1.5 * llx)
-            fast1 += row.discrepancy <= row.gamma_count ** (-(RATE_EXPONENT - 0.1))
-            fast2 += row.discrepancy <= row.gamma_count ** (-(RATE_EXPONENT - 0.2))
-            yield row
+        for radii, norms in self._batches():   # point counts and discrepancies by batch
+            for radius, n, disc in zip(radii, *_batch_discrepancies(fld, norms)):
+                split = [e for p, e in radius.norm_factors if chi(fld, p) == 1]
+                row = SurveyRow(radius.two_n, len(split), sum(split), radius.c4 == 1,
+                                math.log2(n), n, gamma_count(radius), disc)
+                om_col.append(row.omega)
+                if radius.norm_product > 15:
+                    rs_col.append(row.log2_r_star / math.log(math.log(radius.norm_product)))
+                outliers += not (0.5 * llx <= row.omega <= 1.5 * llx)
+                fast1 += row.discrepancy <= row.gamma_count ** (-(RATE_EXPONENT - 0.1))
+                fast2 += row.discrepancy <= row.gamma_count ** (-(RATE_EXPONENT - 0.2))
+                yield row
         count = len(om_col)
         degenerate = count < 8 or not (llx > 0)
         om_q = rs_q = (0.0, 0.0, 0.0)
@@ -181,6 +200,39 @@ class SurveyStream:
         ratio = count * math.log(X) / (2 * X) if X > 1 else float("nan")
         self.summary = SurveySummary(fld.q, X, count, ratio, om_q, rs_q, outlier,
                                      f1, f2, degenerate)
+
+
+def _batch_discrepancies(fld: Discriminant, norms: list[tuple[int, list, int]]
+                         ) -> tuple[list[int], list[float]]:
+    """len(restricted_angles(fld, M)) and circle_discrepancy of them, bit for bit, for each
+    (M, *_norm_base) of a batch in one numpy pass; only kept (norm, unit) blocks are composed,
+    the angles are math.atan2's (np.arctan2 can differ in the last bit).  Survey caps x at
+    10^7: |u|, |r| < 2 * 10^7, far inside int64.  A norm keeps half its blocks or all (r_star),
+    so only a radius with no element, which raises, could leave a reduceat segment empty."""
+    q, tm, zn = fld.q, fld.two_mu, fld.z_norm
+    sizes = np.array([len(b) for _, b, _ in norms], dtype=np.int64)
+    if not sizes.all():
+        raise ValueError("survey of a radius with no restricted element")
+    seg = np.repeat(np.arange(len(norms)), sizes)
+    coords = np.fromiter(chain.from_iterable(c for _, b, _ in norms for c in b), np.int64)
+    bu, br = (coords.reshape(-1, 2) * np.repeat([s for _, _, s in norms], sizes)[:, None]).T
+    uu, ur = np.array(_UNIT_COORDS[fld.unit_count]).T[:, :, None]   # (unit, 1) columns
+    fu, fr = bu[np.cumsum(sizes) - sizes], br[np.cumsum(sizes) - sizes]
+    m2 = np.array([2 * residue_m(fld, M) for M, _, _ in norms], dtype=np.int64)
+    keep = (2 * (uu * fu - ur * fr * zn) + tm * (uu * fr + fu * ur + tm * ur * fr) - m2) % q == 0
+    counts = keep.sum(axis=0) * sizes
+    j, i = np.nonzero(keep[:, seg])   # the unit and the base element of each kept element
+    seg, uu, ur, u, r = seg[i], uu[j, 0], ur[j, 0], bu[i], br[i]
+    x, r = 2 * (uu * u - ur * r * zn), uu * r + u * ur + tm * ur * r
+    x = (x + tm * r).astype(np.float64)   # 2 Re of the unit times the base element
+    del coords, bu, br, j, i, uu, ur, u   # lean before the two float lists
+    ph = np.fromiter(map(math.atan2, (r * math.sqrt(q)).tolist(), x.tolist()), np.float64, len(x))
+    ph = np.remainder(np.remainder(ph, 2 * math.pi) / (2 * math.pi), 1.0)
+    ph = ph[np.lexsort((ph, seg))]
+    starts = np.cumsum(counts) - counts
+    us = (np.arange(len(ph)) - np.repeat(starts, counts)) / np.repeat(counts, counts) - ph
+    discs = np.maximum.reduceat(us, starts) - np.minimum.reduceat(us, starts) + 1.0 / counts
+    return counts.tolist(), discs.tolist()
 
 
 def survey(fld: Discriminant, X: float, threads: int | None = None

@@ -380,10 +380,37 @@ def _split_coords(fld: Discriminant, p: int) -> tuple[int, int]:
     raise IdentityError(f"chi calls {p} split for q={fld.q}, but no element has norm {p}")
 
 
+def _norm_base(fld: Discriminant, factors: list[tuple[int, int]]) -> tuple[list, int]:
+    """(base, s) of the norm with these factors, whose elements are the units times the inert
+    part s times the base, composed as AlgebraicInt.__mul__; ([], 0) if it is not a norm."""
+    zn, tm = fld.z_norm, fld.two_mu
+    base = [(1, 0)]
+    scalar = 1
+    for p, e in factors:
+        c = chi(fld, p)
+        if c == -1:
+            if e % 2:
+                return [], 0
+            scalar *= p ** (e // 2)
+        elif c == 0:
+            g = fld.ramified_generator()
+            for _ in range(e):
+                base = [_mul(b, (g.u, g.r), zn, tm) for b in base]
+        else:
+            pi = _split_coords(fld, p)
+            pic = (pi[0] + tm * pi[1], -pi[1])
+            facs = [(1, 0)]   # pi^j conj(pi)^(e - j), j ascending
+            for _ in range(e):
+                facs = [_mul(f, pic, zn, tm) for f in facs] + [_mul(facs[-1], pi, zn, tm)]
+            base = [(bu * fu - br * fr * zn, bu * fr + fu * br + tm * br * fr)
+                    for bu, br in base for fu, fr in facs]   # _mul written out
+    return base, scalar
+
+
 def _unit_blocks(fld: Discriminant, M: int,
                  factors: list[tuple[int, int]] | None = None) -> list[list[tuple[int, int]]]:
     """(u, r) of every element of norm M, one block per unit: that unit times
-    each base element composed from prime elements, products as
+    the inert scalar times each _norm_base element, products as
     AlgebraicInt.__mul__; [] when M is not a norm.  Unique factorization makes
     the blocks hold each of the r_count(M) elements once, at O(r_count(M)) cost.
 
@@ -397,30 +424,10 @@ def _unit_blocks(fld: Discriminant, M: int,
     3. halfplane.congruence_holds(r, u, s, t) says u + r z_q = t + s z_q (mod a),
        so it holds on two blocks' pairs or none.
     """
-    if factors is None:
-        factors = factorize(M)
+    base, scalar = _norm_base(fld, factorize(M) if factors is None else factors)
+    if not base:
+        return []
     zn, tm = fld.z_norm, fld.two_mu
-    base = [(1, 0)]
-    scalar = 1
-    for p, e in factors:
-        c = chi(fld, p)
-        if c == -1:
-            if e % 2:
-                return []
-            scalar *= p ** (e // 2)
-        elif c == 0:
-            g = fld.ramified_generator()
-            for _ in range(e):
-                base = [_mul(b, (g.u, g.r), zn, tm) for b in base]
-        else:
-            pi = _split_coords(fld, p)
-            pic = (pi[0] + tm * pi[1], -pi[1])
-            pows, cpows = [(1, 0)], [(1, 0)]
-            for _ in range(e):
-                pows.append(_mul(pows[-1], pi, zn, tm))
-                cpows.append(_mul(cpows[-1], pic, zn, tm))
-            facs = [_mul(pows[j], cpows[e - j], zn, tm) for j in range(e + 1)]
-            base = [_mul(b, f, zn, tm) for b in base for f in facs]
     # _mul written out: this is the one loop that runs once per element
     return [[((uu * bu - ur * br * zn) * scalar, (uu * br + bu * ur + tm * ur * br) * scalar)
              for bu, br in base] for uu, ur in _UNIT_COORDS[fld.unit_count]]

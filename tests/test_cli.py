@@ -446,6 +446,21 @@ class TestSurveyCounts:
                         "--s", "2.2")
         assert code == 1 and out == ""
 
+    def test_survey_never_takes_the_per_radius_path(self, capsys, monkeypatch):
+        # the rows come from the batch path alone: with the per-radius
+        # composition and discrepancy refused, stdout keeps its golden digests
+        def refuse(*args):
+            raise AssertionError("per-radius path called")
+        for module, name in [(equidist, "circle_discrepancy"), (equidist, "restricted_angles"),
+                             (quadfield, "restricted_angles"), (quadfield, "_unit_blocks"),
+                             (quadfield, "_restricted_coords")]:
+            monkeypatch.setattr(module, name, refuse)
+        goldens = dict((" ".join(argv), digest) for argv, digest in GOLDEN_STDOUT)
+        for key in ["survey --q 3 --x 3000", "survey --q 4 --x 3000", "survey --q 7 --x 80"]:
+            code, out = run(capsys, *key.split())
+            assert code == 0
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == goldens[key], key
+
     def test_bnumbers_sieve_view_never_factorizes(self):
         # the bench bnumbers workload's --s and --z commands, in a fresh process
         # whose factorize raises: stdout keeps its reference digest, and the
@@ -632,6 +647,12 @@ GOLDEN_STDOUT = [
     # when count still factorized every realized radius
     (["count", "--q", "163", "--x", "1e5"],
      "d8499aa06694323cab06557d3ba606e3b8a0b5b4c82ed49e0a9bb0fe37f52451"),
+    # radii whose walker blocks and survey batches both split, recorded while
+    # survey still composed and measured each radius on its own
+    (["survey", "--q", "3", "--x", "3e5"],
+     "722b998d5006476fdccb8a429842bc1ca885502952907d18ed24ebe0b216b958"),
+    (["survey", "--q", "163", "--x", "3e5"],
+     "880c84a31b4f20bfdf88e07f3457b0d3a53a254c27e9fb5037f5f7731f276665"),
     # SVGs, recorded while plot still told points apart by rounded floats:
     # the README example, then every realized radius with two_n <= 600
     (["plot", "--q", "11", "--two-n", "29,61"],
@@ -655,7 +676,8 @@ GOLDEN_STDOUT = [
                               "circle-notes-k3",
                               "survey-json", "count-json", "bnumbers-curve-json",
                               "bnumbers-s-json", "bnumbers-z-json", "circle-notes-k3-json",
-                              "count-q163-1e5", "plot-readme"]
+                              "count-q163-1e5", "survey-q3-3e5", "survey-q163-3e5",
+                              "plot-readme"]
                          + [f"plot-q{q}-600" for q in quadfield.CLASS_NUMBER_ONE_Q])
 def test_golden_stdout(capsys, argv, digest):
     code, out = run(capsys, *argv)

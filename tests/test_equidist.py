@@ -451,6 +451,41 @@ class TestSurvey:
         with pytest.raises(ValueError, match=r"(?i)\bx\b"):
             list(equidist.SurveyStream(field(3), x))
 
+    @pytest.fixture(scope="class")
+    def per_radius_rows(self):
+        # (q, two_n, point count, discrepancy as hex) of every radius with
+        # X <= 3e4 in all nine fields, by restricted_angles and circle_discrepancy
+        return [(f.q, radius.two_n, len(angs), circle_discrepancy(angs).hex())
+                for f in all_fields() for radius in iter_radii(f, 30000)
+                for angs in [equidist._radius_angles(radius)]]
+
+    @pytest.mark.parametrize("bound", [None, 1, 13])
+    def test_batch_path_is_the_per_radius_path_bit_for_bit(self, per_radius_rows, bound,
+                                                           monkeypatch):
+        # at the default batch bound, at one radius a batch, and at a small
+        # prime that breaks the batches at many places
+        if bound is not None:
+            monkeypatch.setattr(equidist, "_BATCH_ELEMENTS", bound)
+        got = [(f.q, row.two_n, row.point_count, row.discrepancy.hex())
+               for f in all_fields() for row in equidist.SurveyStream(f, 30000)]
+        assert len(got) == len(per_radius_rows) > 10000
+        assert got == per_radius_rows
+
+    def test_a_radius_without_restricted_elements_raises(self):
+        # 2 is inert for q = 3, so the radius of norm 2 has no element at all;
+        # reduceat over its empty segment would return a wrong value, not raise
+        f = field(3)
+
+        def batch(*norms):
+            return [(M, *quadfield._norm_base(f, factorize(M))) for M in norms]
+        assert equidist._batch_discrepancies(f, batch(7)) == \
+            ([6], [circle_discrepancy(quadfield.restricted_angles(f, 7))])
+        with pytest.raises(ValueError):   # the per-radius path
+            circle_discrepancy(quadfield.restricted_angles(f, 2))
+        for norms in [(2,), (7, 2), (2, 7), (7, 2, 7)]:
+            with pytest.raises(ValueError, match="no restricted element"):
+                equidist._batch_discrepancies(f, batch(*norms))
+
     def test_stream_holds_no_rows(self):
         # past the first rows a stream's traced memory grows by its two summary
         # columns (16 bytes a row); holding the rows costs about 250 bytes a row
@@ -502,3 +537,37 @@ class TestSurvey:
     def test_rate_exponent_value(self):
         assert abs(RATE_EXPONENT - math.log(math.pi / 2) / math.log(2)) < 1e-15
         assert abs(RATE_EXPONENT - 0.6515) < 5e-4
+
+
+class TestSurveyFloatForms:
+    """The numpy forms of the survey's batch path equal circle_discrepancy's
+    Python forms bit for bit; np.arctan2 is not among them, as it can differ
+    from math.atan2 in the last bit."""
+
+    TAU = 2 * math.pi
+
+    def test_phase_normalization(self):
+        # a just below 0 has a % 2pi == 2pi, and the final % 1.0 maps it to 0.0
+        rng = np.random.default_rng(33)
+        angs = np.concatenate([[-0.0, 0.0, math.pi, -math.pi, -5e-324, 5e-324, -self.TAU],
+                               -rng.random(10_000) * 1e-17,
+                               rng.uniform(-4 * math.pi, 4 * math.pi, 100_000)])
+        got = np.remainder(np.remainder(angs, self.TAU) / self.TAU, 1.0)
+        want = np.array([a % self.TAU / self.TAU % 1.0 for a in angs.tolist()])
+        assert got.tobytes() == want.tobytes()
+        assert got[:6].tolist() == [0.0, 0.0, 0.5, 0.5, 0.0, 5e-324 / self.TAU]
+
+    def test_segmented_rank_over_count_and_extremes(self):
+        rng = np.random.default_rng(34)
+        counts = rng.integers(1, 300, 400)
+        phs = [np.sort(np.concatenate([[0.0], rng.random(n - 1)])) for n in counts]
+        ph = np.concatenate(phs)
+        starts = np.cumsum(counts) - counts
+        us = (np.arange(len(ph)) - np.repeat(starts, counts)) / np.repeat(counts, counts) - ph
+        want = [m / int(n) - x for n, seg in zip(counts, phs) for m, x in enumerate(seg.tolist())]
+        assert us.tobytes() == np.array(want).tobytes()
+        discs = np.maximum.reduceat(us, starts) - np.minimum.reduceat(us, starts) + 1.0 / counts
+        for d, seg, n in zip(discs.tolist(), phs, counts.tolist()):
+            u = [m / n - x for m, x in enumerate(seg.tolist())]
+            assert d.hex() == (max(u) - min(u) + 1.0 / n).hex()
+
