@@ -91,15 +91,15 @@ def _selected_fields(qflag: str) -> list[Discriminant]:
 # verify: the cross-module identity suite
 
 def _random_matrices(rng: random.Random, count: int, bound: int) -> list[UnimodularMatrix]:
+    """count matrices, (c, d) uniform on the coprime pairs in [-bound, bound]^2, t on [-3, 3]."""
+    cds = []
+    while len(cds) < count:
+        draws = rng.choices(range(-bound, bound + 1), k=4 * (count - len(cds)))
+        cds += [(c, d) for c, d in zip(draws[::2], draws[1::2]) if math.gcd(c, d) == 1]
     out = []
-    while len(out) < count:
-        c = rng.randint(-bound, bound)
-        d = rng.randint(-bound, bound)
-        if math.gcd(c, d) != 1:
-            continue
+    for (c, d), t in zip(cds[:count], rng.choices(range(-3, 4), k=count)):
         a0 = pow(d, -1, abs(c)) if c else d
         b0 = (a0 * d - 1) // c if c else 0
-        t = rng.randint(-3, 3)
         out.append(UnimodularMatrix(a0 + t * c, b0 + t * d, c, d))
     return out
 
@@ -135,11 +135,12 @@ def _verify_field(fld: Discriminant, max_two_n: int, report: list[str],
     with group(f"distance/coordinate/product identities + roundtrip on {len(mats)} matrices ok"):
         for g in mats:
             two_n = halfplane.arithmetic_radius(fld, g)
-            ch = halfplane.cosh_distance(fld.z, halfplane.apply_mobius(g, fld.z))
+            gz = halfplane.apply_mobius(g, fld.z)
+            ch = halfplane.cosh_distance(fld.z, gz)
             check("radius-vs-cosh", abs(ch - two_n / q) <= 1e-6 * max(1.0, two_n / q), gamma)
             h, Y = halfplane.integer_coords(fld, g)
             check("coordinate-norm-identity", q * h * h + Y * Y == two_n * two_n - q * q, gamma)
-            w = halfplane.disc_map(fld, halfplane.apply_mobius(g, fld.z))
+            w = halfplane.disc_map(fld, gz)
             n_plus = (two_n + q) // 2
             check("disc-map-image",
                   abs(n_plus * w - complex(h * math.sqrt(q) / 2, Y / 2)) <= 1e-6 * n_plus, gamma)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quadfield import AlgebraicInt, Discriminant, IdentityError
+from .quadfield import AlgebraicInt, Discriminant, IdentityError, all_fields
 
 
 @dataclass(frozen=True, order=True)
@@ -129,13 +129,18 @@ def congruence_holds(fld: Discriminant, r: int, u: int, s: int, t: int) -> bool:
 
 def congruence_holds_full(fld: Discriminant, r: int, u: int, s: int, t: int) -> bool:
     """The unreduced form of the integrality condition (test oracle): q times
-    (a, b, c, d) is the integer matrix below applied to (r, u, s, t)."""
-    tm, z2 = fld.two_mu, fld.z_norm
-    rows = ((2 * z2 - tm, -tm, 2 * z2, tm),
-            (tm * z2, 2 * z2, -tm * z2, 2 * z2 - tm),
-            (-tm, -2, tm, 2),
-            (2 * z2, tm, -2 * z2, -tm))
-    return all((x * r + y * u + z * s + w * t) % fld.q == 0 for x, y, z, w in rows)
+    (a, b, c, d) is the integer matrix _FULL_ROWS[q] applied to (r, u, s, t)."""
+    for x, y, z, w in _FULL_ROWS[fld.q]:
+        if (x * r + y * u + z * s + w * t) % fld.q:
+            return False
+    return True
+
+
+_FULL_ROWS = {f.q: ((2 * z2 - tm, -tm, 2 * z2, tm),
+                    (tm * z2, 2 * z2, -tm * z2, 2 * z2 - tm),
+                    (-tm, -2, tm, 2),
+                    (2 * z2, tm, -2 * z2, -tm))
+              for f in all_fields() for tm, z2 in [(f.two_mu, f.z_norm)]}
 
 
 def matrix_from_split(fld: Discriminant, r: int, u: int, s: int, t: int) -> UnimodularMatrix:

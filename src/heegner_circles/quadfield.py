@@ -399,8 +399,8 @@ def _norm_base(fld: Discriminant, factors: list[tuple[int, int]]) -> tuple[list,
         else:
             pi = _split_coords(fld, p)
             pic = (pi[0] + tm * pi[1], -pi[1])
-            facs = [(1, 0)]   # pi^j conj(pi)^(e - j), j ascending
-            for _ in range(e):
+            facs = [pic, pi]   # pi^j conj(pi)^(e - j), j ascending
+            for _ in range(e - 1):
                 facs = [_mul(f, pic, zn, tm) for f in facs] + [_mul(facs[-1], pi, zn, tm)]
             base = [(bu * fu - br * fr * zn, bu * fr + fu * br + tm * br * fr)
                     for bu, br in base for fu, fr in facs]   # _mul written out
@@ -425,12 +425,28 @@ def _unit_blocks(fld: Discriminant, M: int,
        so it holds on two blocks' pairs or none.
     """
     base, scalar = _norm_base(fld, factorize(M) if factors is None else factors)
-    if not base:
-        return []
+    return _compose(fld, base, scalar, _UNIT_COORDS[fld.unit_count] if base else ())
+
+
+def _compose(fld: Discriminant, base: list, scalar: int, units) -> list[list[tuple[int, int]]]:
+    """The block of each unit: (u, r) of that unit times scalar times each base element."""
     zn, tm = fld.z_norm, fld.two_mu
     # _mul written out: this is the one loop that runs once per element
     return [[((uu * bu - ur * br * zn) * scalar, (uu * br + bu * ur + tm * ur * br) * scalar)
-             for bu, br in base] for uu, ur in _UNIT_COORDS[fld.unit_count]]
+             for bu, br in base] for uu, ur in units]
+
+
+def _kept_units(fld: Discriminant, M: int, base: list, scalar: int) -> list[tuple[int, int]]:
+    """The units whose blocks of the norm M, with this _norm_base, are restricted, 2*Re = 2m
+    (mod q): a block lies in one class (_unit_blocks), so its first element decides it."""
+    if not base:
+        return []
+    m2, tm = 2 * residue_m(fld, M), fld.two_mu
+    bu, br = base[0][0] * scalar, base[0][1] * scalar   # the first element b
+    # 2 Re is linear: 2 Re((uu + ur z_q) b) = uu 2 Re(b) + ur 2 Re(z_q b)
+    re_b, re_zb = 2 * bu + tm * br, tm * bu + (tm * tm - 2 * fld.z_norm) * br
+    return [(uu, ur) for uu, ur in _UNIT_COORDS[fld.unit_count]
+            if (uu * re_b + ur * re_zb - m2) % fld.q == 0]
 
 
 def elements_of_norm(fld: Discriminant, M: int) -> list[AlgebraicInt]:
@@ -466,27 +482,23 @@ def residue_m(fld: Discriminant, M: int) -> int:
     every element of such norm has odd y, so m = 1 there (m = 0 only
     when 4 | M).
     """
-    q = fld.q
-    if q == 8:
-        if M % 2 == 1:
-            return 1
-        return 0 if M % 8 in (0, 2) else 2
-    if q == 4:
-        return 0 if M % 4 == 0 else 1
-    for m in range(q):
-        if (m * m - M) % q == 0:
-            return m
-    raise ValueError(f"M={M} is not a square modulo {q}; not a norm")
+    m = _RESIDUE_M[fld.q].get(M % fld.q)
+    if m is None:
+        raise ValueError(f"M={M} is not a square modulo {fld.q}; not a norm")
+    return m
+
+
+#: residue_m by M mod q: the least square root for odd q (the least of m and q - m is at most
+#: q // 2, and the dict keeps its last write), the rule above for q = 4 and 8.
+_RESIDUE_M = {q: {m * m % q: m for m in range(q // 2, -1, -1)} for q in _SHAPES if q % 2} | {
+    4: dict(enumerate((0, 1, 1, 1))), 8: dict(enumerate((0, 1, 0, 1, 2, 1, 2, 1)))}
 
 
 def _restricted_coords(fld: Discriminant, M: int,
                        factors: list[tuple[int, int]] | None) -> list[tuple[int, int]]:
-    """(u, r) of the elements of norm M with 2*Re = 2m (mod q): whole unit blocks."""
-    blocks = _unit_blocks(fld, M, factors)
-    if not blocks:
-        return []
-    m2, q, tm = 2 * residue_m(fld, M), fld.q, fld.two_mu
-    return [el for b in blocks if (2 * b[0][0] + tm * b[0][1] - m2) % q == 0 for el in b]
+    """(u, r) of the elements of norm M with 2*Re = 2m (mod q): the kept unit blocks, composed."""
+    base, scalar = _norm_base(fld, factorize(M) if factors is None else factors)
+    return [el for b in _compose(fld, base, scalar, _kept_units(fld, M, base, scalar)) for el in b]
 
 
 def restricted_angles(fld: Discriminant, M: int,
@@ -499,13 +511,14 @@ def restricted_angles(fld: Discriminant, M: int,
 def r_star(fld: Discriminant, M: int) -> int:
     """Congruence-restricted representation count.
 
-    Computed as a direct count of restricted elements and checked against
-    the closed form: r_count(M) when gcd(M, q) > 1, half of it otherwise.
+    Counted as kept unit blocks times their size, composing no element, and
+    checked against the closed form: r_count(M) when gcd(M, q) > 1, half otherwise.
     """
     if M < 1:
         raise ValueError("r_star expects M >= 1")
     factors = factorize(M)
-    direct = len(_restricted_coords(fld, M, factors))
+    base, scalar = _norm_base(fld, factors)
+    direct = len(base) * len(_kept_units(fld, M, base, scalar))
     rc = r_count_from_factors(fld, factors)
     closed = rc if gcd(M, fld.q) > 1 else rc // 2
     if direct != closed:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -170,6 +171,34 @@ class TestVerify:
         code, out = run(capsys, "verify", "--max-two-n", "200")
         assert code == 1
         assert any(line.startswith("FAIL oracle-equivalence") for line in out.splitlines())
+
+    def test_sample_sizes_are_pinned(self, capsys, monkeypatch):
+        # a faster verify may not check fewer samples: count what each field's checks read
+        full, mats, stars = collections.Counter(), [], collections.Counter()
+        draw, holds, star = cli._random_matrices, halfplane.congruence_holds_full, quadfield.r_star
+
+        def counted_holds(fld, *v):
+            full[fld.q] += 1
+            return holds(fld, *v)
+
+        def counted_star(fld, M):
+            stars[fld.q, M] += 1
+            return star(fld, M)
+
+        monkeypatch.setattr(cli, "_random_matrices", lambda *a: mats.append(draw(*a)) or mats[-1])
+        monkeypatch.setattr(halfplane, "congruence_holds_full", counted_holds)
+        monkeypatch.setattr(quadfield, "r_star", counted_star)
+        code, _ = run(capsys, "verify", "--q", "all", "--max-two-n", "200")
+        assert code == 0
+        assert full == {q: 2000 for q in quadfield.CLASS_NUMBER_ONE_Q}
+        assert [len(ms) for ms in mats] == [400] * 9
+        assert all(g.a * g.d - g.b * g.c == 1 and abs(g.c) <= 60 and abs(g.d) <= 60
+                   for ms in mats for g in ms)
+        # one call for every M < min(4 max_two_n, 4000), and one per radius's point count
+        expect = collections.Counter((f.q, M) for f in quadfield.all_fields() for M in range(1, 800))
+        expect.update((f.q, r.norm_product) for f in quadfield.all_fields()
+                      for r in circles.radii_up_to(f, 100))
+        assert stars == expect
 
     def test_same_bytes_under_python_O(self):
         # every check raises IdentityError, so -O (asserts stripped) changes nothing;

@@ -523,6 +523,22 @@ class TestUnitBlocks:
                 kept = [(u, r) for u, r in els if (2 * u + f.two_mu * r - m2) % f.q == 0]
                 assert quadfield._restricted_coords(f, M, None) == kept, (f.q, M)
 
+    def test_kept_blocks_are_first_element_blocks(self):
+        # _restricted_coords composes only the kept blocks and r_star counts them: both
+        # equal "compose every block, keep each by its first element", in order
+        inert_square = ramified = 0
+        for f in all_fields():
+            for M in list(range(1, 2000)) + [f.q * 4 * 9 * 25 * 49]:
+                blocks = quadfield._unit_blocks(f, M)
+                m2 = 2 * residue_m(f, M) if blocks else 0
+                kept = self.flat(b for b in blocks
+                                 if (2 * b[0][0] + f.two_mu * b[0][1] - m2) % f.q == 0)
+                assert quadfield._restricted_coords(f, M, None) == kept, (f.q, M)
+                assert r_star(f, M) == len(kept), (f.q, M)
+                inert_square += bool(kept) and any(chi(f, p) == -1 for p, _ in factorize(M))
+                ramified += bool(kept) and M % f.ramified_prime == 0
+        assert inert_square > 500 and ramified > 500
+
     def test_block_pairs_are_element_pairs(self):
         for f in all_fields():
             for radius in radii_up_to(f, 2 * 10 ** 4):
@@ -612,6 +628,33 @@ class TestResidueClass:
     def test_non_norm_fails_odd_q(self):
         with pytest.raises(ValueError):
             residue_m(field(3), 2)
+
+    def test_table_is_the_loop(self):
+        # residue_m reads a table by M mod q; the O(q) search it replaced is the oracle
+        for f in all_fields():
+            for M in range(-f.q, 2 * f.q):
+                try:
+                    expect = residue_m_loop(f, M)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{exc}$"):
+                        residue_m(f, M)
+                else:
+                    assert residue_m(f, M) == expect, (f.q, M)
+
+
+def residue_m_loop(fld, M):
+    """residue_m by its definition: the least square root of M mod odd q, searched."""
+    q = fld.q
+    if q == 8:
+        if M % 2 == 1:
+            return 1
+        return 0 if M % 8 in (0, 2) else 2
+    if q == 4:
+        return 0 if M % 4 == 0 else 1
+    for m in range(q):
+        if (m * m - M) % q == 0:
+            return m
+    raise ValueError(f"M={M} is not a square modulo {q}; not a norm")
 
 
 class TestRStar:

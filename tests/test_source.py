@@ -92,6 +92,19 @@ def test_one_bottom_row_walk():
     assert {"_row_walk", "brute_force_by_radius", "UnimodularMatrix"} & set(_names(count)) == set()
 
 
+def test_r_star_counts_kept_blocks():
+    # r_star counts the kept unit blocks of a norm and composes none of its elements, and
+    # one Python function states the keep rule, 2 Re = 2m (mod q), with m from residue_m;
+    # the survey's batch pass states it once more in numpy
+    path = SRC / "heegner_circles" / "quadfield.py"
+    [r_star] = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                if isinstance(node, ast.FunctionDef) and node.name == "r_star"]
+    assert {"_unit_blocks", "_restricted_coords", "_compose"} & set(_names(r_star)) == set()
+    assert _functions_naming("residue_m") == ["heegner_circles/equidist.py: _batch_discrepancies",
+                                              "heegner_circles/quadfield.py: _kept_units",
+                                              "heegner_circles/quadfield.py: residue_m"]
+
+
 def _reads_q(node):
     return (isinstance(node, ast.Name) and node.id == "q"
             or isinstance(node, ast.Attribute) and node.attr == "q")
